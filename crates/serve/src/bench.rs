@@ -21,7 +21,7 @@
 //! length.
 
 use crate::client::Client;
-use crate::config::{standard_library, IoModel, ServeConfig};
+use crate::config::{standard_library, ServeConfig};
 use crate::fault::ServeFaults;
 use crate::net::{Bind, BoundAddr};
 use crate::proto::{Reply, ReplyBody, RequestBody, TelemetryFormat};
@@ -190,11 +190,9 @@ pub struct RecoveryPoint {
 }
 
 /// One connection-scaling measurement: `connections` open clients
-/// (most idle, `active` driving commands) against one io model.
+/// (most idle, `active` driving commands) against one server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConnScalePoint {
-    /// The io model the server ran (`poll` / `threads`).
-    pub io_model: String,
     /// Total open connections held for the whole measurement.
     pub connections: usize,
     /// Connections actively driving commands (the rest sit idle).
@@ -209,9 +207,6 @@ pub struct ConnScalePoint {
 
 impl ConnScalePoint {
     fn validate(&self) -> Result<(), String> {
-        if self.io_model != "poll" && self.io_model != "threads" {
-            return Err(format!("bad io_model `{}`", self.io_model));
-        }
         if self.active == 0 || self.connections < self.active {
             return Err(format!(
                 "connections {} must cover active {}",
@@ -237,16 +232,14 @@ impl ConnScalePoint {
         Ok(())
     }
 
+    /// One `conn_scaling` entry. The `io_model` key stays in the
+    /// `riot-serve-bench-suite/2` schema; the server has one connection
+    /// plane, the readiness loop, so it always reads `poll`.
     fn to_json_line(&self) -> String {
         format!(
-            "    {{ \"io_model\": \"{}\", \"connections\": {}, \"active\": {}, \
+            "    {{ \"io_model\": \"poll\", \"connections\": {}, \"active\": {}, \
              \"commands_total\": {}, \"elapsed_ms\": {:.2}, \"cmds_per_sec\": {:.1} }}",
-            self.io_model,
-            self.connections,
-            self.active,
-            self.commands_total,
-            self.elapsed_ms,
-            self.cmds_per_sec
+            self.connections, self.active, self.commands_total, self.elapsed_ms, self.cmds_per_sec
         )
     }
 }
@@ -268,9 +261,7 @@ pub struct BenchSuite {
     /// stay flat while `full_replay_ms` grows.
     pub recovery: Vec<RecoveryPoint>,
     /// Throughput while holding growing herds of mostly-idle
-    /// connections, per io model. The poll model's axis must extend at
-    /// least as far as the threads model's — holding more connections
-    /// than thread-per-connection can is the readiness loop's job.
+    /// connections.
     pub conn_scaling: Vec<ConnScalePoint>,
 }
 
@@ -278,8 +269,7 @@ impl BenchSuite {
     /// Validates both embedded reports, the speedup arithmetic, the
     /// recovery curve's shape (non-empty, histories increasing,
     /// positive timings), and the connection-scaling axis (non-empty,
-    /// consistent points, connections increasing per io model, and the
-    /// poll model scaling at least as far as the threads model).
+    /// consistent points, connections strictly increasing).
     ///
     /// # Errors
     ///
@@ -321,31 +311,16 @@ impl BenchSuite {
         if self.conn_scaling.is_empty() {
             return Err("connection-scaling axis is empty".into());
         }
-        let mut max_conns: HashMap<&str, usize> = HashMap::new();
-        let mut last: HashMap<&str, usize> = HashMap::new();
         for p in &self.conn_scaling {
             p.validate()
-                .map_err(|e| format!("conn_scaling [{} @{}]: {e}", p.io_model, p.connections))?;
-            if last
-                .get(p.io_model.as_str())
-                .is_some_and(|&n| p.connections <= n)
-            {
-                return Err(format!(
-                    "{} connections must be strictly increasing",
-                    p.io_model
-                ));
-            }
-            last.insert(&p.io_model, p.connections);
-            let m = max_conns.entry(&p.io_model).or_default();
-            *m = (*m).max(p.connections);
+                .map_err(|e| format!("conn_scaling [@{}]: {e}", p.connections))?;
         }
-        let poll_max = *max_conns
-            .get("poll")
-            .ok_or("connection-scaling axis has no poll points")?;
-        if max_conns.get("threads").is_some_and(|&t| poll_max < t) {
-            return Err(format!(
-                "poll axis tops out at {poll_max} connections, below the threads axis"
-            ));
+        if self
+            .conn_scaling
+            .windows(2)
+            .any(|pair| pair[1].connections <= pair[0].connections)
+        {
+            return Err("conn_scaling connections must be strictly increasing".into());
         }
         Ok(())
     }
@@ -580,7 +555,6 @@ fn spawn_server(
     tag: &str,
     group_commit: Option<Duration>,
     snapshot_every: usize,
-    io_model: IoModel,
 ) -> Result<(crate::server::ServerHandle, PathBuf), String> {
     let dir = std::env::temp_dir().join(format!("riot-serve-suite-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -588,14 +562,13 @@ fn spawn_server(
     let mut cfg = ServeConfig::new(dir.join("wal"));
     cfg.group_commit = group_commit;
     cfg.snapshot_every = snapshot_every;
-    cfg.io_model = io_model;
     let handle = Server::start(cfg, &Bind::Unix(dir.join("bench.sock")))
         .map_err(|e| format!("cannot spawn {tag} server: {e}"))?;
     Ok((handle, dir))
 }
 
 /// One connection-scaling point: holds `connections` open clients
-/// against a private `io_model` server, keeps all but `cfg.sessions`
+/// against a private server, keeps all but `cfg.sessions`
 /// of them idle, and measures command throughput through the active
 /// ones. The idle herd is what the point is really measuring — a
 /// connection plane that degrades while merely *holding* sockets shows
@@ -606,7 +579,6 @@ fn spawn_server(
 /// Server spawn, connect, or drive failures, or an internally
 /// inconsistent point.
 pub fn run_conn_point(
-    io_model: IoModel,
     connections: usize,
     cfg: &BenchConfig,
     group_commit_us: u64,
@@ -618,12 +590,11 @@ pub fn run_conn_point(
             "{connections} connections cannot cover {active} active sessions"
         ));
     }
-    let tag = format!("conns-{}-{}", io_model.as_str(), connections);
+    let tag = format!("conns-{connections}");
     let (handle, dir) = spawn_server(
         &tag,
         Some(Duration::from_micros(group_commit_us)),
         snapshot_every,
-        io_model,
     )?;
     let addr = handle.addr();
     let run = (|| -> Result<ConnScalePoint, String> {
@@ -655,7 +626,6 @@ pub fn run_conn_point(
             acked += run?.acked;
         }
         let point = ConnScalePoint {
-            io_model: io_model.as_str().to_owned(),
             connections,
             active,
             commands_total: acked,
@@ -670,11 +640,7 @@ pub fn run_conn_point(
     run.map_err(|e| format!("{tag}: {e}"))
 }
 
-/// Runs the connection-scaling axis: every count in `scales` against
-/// the poll model, and the counts up to [`THREADS_SCALE_CAP`] against
-/// the threads model (thread-per-connection at a thousand connections
-/// means two thousand OS threads — the axis documents the cliff, it
-/// does not have to fall off it).
+/// Runs the connection-scaling axis: one point per count in `scales`.
 ///
 /// # Errors
 ///
@@ -687,27 +653,11 @@ pub fn run_conn_scaling(
 ) -> Result<Vec<ConnScalePoint>, String> {
     let mut cfg = load.clone();
     cfg.group_commit_us = Some(group_commit_us);
-    let mut points = Vec::new();
-    for model in [IoModel::Poll, IoModel::Threads] {
-        for &n in scales {
-            if model == IoModel::Threads && n > THREADS_SCALE_CAP {
-                continue;
-            }
-            points.push(run_conn_point(
-                model,
-                n,
-                &cfg,
-                group_commit_us,
-                snapshot_every,
-            )?);
-        }
-    }
-    Ok(points)
+    scales
+        .iter()
+        .map(|&n| run_conn_point(n, &cfg, group_commit_us, snapshot_every))
+        .collect()
 }
-
-/// Largest herd the threads io model is asked to hold on the scaling
-/// axis (each connection costs it two OS threads).
-pub const THREADS_SCALE_CAP: usize = 256;
 
 /// Applies `range` of the bench command mix directly to a session
 /// entry (resume, execute, suspend, one flush) — the recovery bench's
@@ -775,11 +725,9 @@ pub fn run_recovery_bench(histories: &[usize], tail: usize) -> Result<Vec<Recove
 
 /// Runs the full comparison suite: the same load against a
 /// group-committing server and a per-run-fsync baseline (both private,
-/// spawned, torn down, pinned to [`IoModel::Threads`] so the A/B
-/// isolates the group-commit window), plus the recovery curve and the
-/// connection-scaling axis ([`run_conn_scaling`] over `conn_scales`,
-/// which exercises both io models). Returns a **validated**
-/// [`BenchSuite`].
+/// spawned and torn down), plus the recovery curve and the
+/// connection-scaling axis ([`run_conn_scaling`] over `conn_scales`).
+/// Returns a **validated** [`BenchSuite`].
 ///
 /// # Errors
 ///
@@ -796,16 +744,10 @@ pub fn run_suite(
 ) -> Result<BenchSuite, String> {
     let mut cfg = load.clone();
     cfg.group_commit_us = Some(group_commit_us);
-    // The A/B legs isolate the *group-commit* effect, so both stay
-    // pinned to the threads io-model the experiment was defined under.
-    // The poll loop's reply routing already batches worker flushes, so
-    // under it the window is neutral and the A/B would measure nothing;
-    // the poll model is covered by the connection-scaling axis instead.
     let (handle, dir) = spawn_server(
         "grouped",
         Some(Duration::from_micros(group_commit_us)),
         snapshot_every,
-        IoModel::Threads,
     )?;
     let grouped = run_bench(&handle.addr(), &cfg);
     handle.shutdown();
@@ -813,7 +755,7 @@ pub fn run_suite(
     let grouped = grouped.map_err(|e| format!("grouped run: {e}"))?;
 
     cfg.group_commit_us = Some(0);
-    let (handle, dir) = spawn_server("baseline", None, snapshot_every, IoModel::Threads)?;
+    let (handle, dir) = spawn_server("baseline", None, snapshot_every)?;
     let baseline = run_bench(&handle.addr(), &cfg);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(dir);
@@ -895,9 +837,8 @@ mod tests {
         assert!(r.validate().is_err());
     }
 
-    fn scale_point(io_model: &str, connections: usize) -> ConnScalePoint {
+    fn scale_point(connections: usize) -> ConnScalePoint {
         ConnScalePoint {
-            io_model: io_model.into(),
             connections,
             active: 4,
             commands_total: 400,
@@ -933,12 +874,7 @@ mod tests {
                     tail_records: 64,
                 },
             ],
-            conn_scaling: vec![
-                scale_point("poll", 64),
-                scale_point("poll", 1024),
-                scale_point("threads", 64),
-                scale_point("threads", 256),
-            ],
+            conn_scaling: vec![scale_point(64), scale_point(1024)],
         }
     }
 
@@ -972,17 +908,8 @@ mod tests {
         assert!(bad.validate().unwrap_err().contains("scaling axis"));
 
         let mut bad = sample_suite();
-        bad.conn_scaling[1].connections = 64; // poll axis not increasing
-        assert!(bad.validate().is_err());
-
-        let mut bad = sample_suite();
-        bad.conn_scaling.retain(|p| p.io_model == "threads");
-        assert!(bad.validate().unwrap_err().contains("no poll points"));
-
-        // The poll axis must reach at least as far as the threads axis.
-        let mut bad = sample_suite();
-        bad.conn_scaling = vec![scale_point("poll", 64), scale_point("threads", 256)];
-        assert!(bad.validate().unwrap_err().contains("tops out"));
+        bad.conn_scaling[1].connections = 64; // axis not increasing
+        assert!(bad.validate().unwrap_err().contains("strictly increasing"));
 
         let mut bad = sample_suite();
         bad.conn_scaling[0].active = 0;
@@ -990,10 +917,6 @@ mod tests {
 
         let mut bad = sample_suite();
         bad.conn_scaling[0].cmds_per_sec = 1.0; // disagrees with commands/elapsed
-        assert!(bad.validate().is_err());
-
-        let mut bad = sample_suite();
-        bad.conn_scaling[0].io_model = "fibers".into();
         assert!(bad.validate().is_err());
     }
 
@@ -1005,11 +928,13 @@ mod tests {
             window: 8,
             group_commit_us: Some(500),
         };
-        let point = run_conn_point(IoModel::Poll, 16, &cfg, 500, 0).unwrap();
+        let point = run_conn_point(16, &cfg, 500, 0).unwrap();
         assert_eq!(point.connections, 16);
         assert_eq!(point.active, 2);
         assert_eq!(point.commands_total, 80);
-        assert_eq!(point.io_model, "poll");
+        assert!(point
+            .to_json_line()
+            .contains("\"io_model\": \"poll\", \"connections\": 16"));
     }
 
     #[test]

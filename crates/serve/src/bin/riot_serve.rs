@@ -19,12 +19,11 @@
 //! a single number is printed or written.
 
 use riot_serve::{
-    run_bench, run_suite, BenchConfig, Bind, BoundAddr, Client, IoModel, ServeConfig, Server,
+    run_bench, run_suite, BenchConfig, Bind, BoundAddr, Client, ServeConfig, Server,
     TelemetryFormat,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -44,9 +43,6 @@ SERVE OPTIONS:
     --root DIR         WAL directory (default ./riot-serve-data)
     --threads N        worker threads (default: RIOT_SERVE_THREADS or
                        machine parallelism, clamped to 1..=64)
-    --io-model MODEL   connection plane: `poll` (one readiness event
-                       loop owns every connection; the default) or
-                       `threads` (two OS threads per connection)
     --telemetry-addr HOST:PORT
                        serve /metrics, /metrics.json, /flightrec and
                        /healthz over HTTP on this address
@@ -68,10 +64,8 @@ BENCH OPTIONS:
     --sessions N       concurrent client connections (default 4)
     --commands M       commands per session (default 1000)
     --window W         pipelined requests in flight (default 32)
-    --io-model MODEL   spawned-server connection plane (as for serve)
     --conn-scale LIST  comma-separated connection counts for the
-                       suite's scaling axis (default 64,256,1024; the
-                       threads model is capped at 256)
+                       suite's scaling axis (default 64,256,1024)
     --group-commit-us N / --no-group-commit / --snapshot-every N
                        spawned-server durability knobs (as for serve)
     --out PATH         write the JSON report here (default: stdout only)
@@ -206,7 +200,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     };
     let mut root = PathBuf::from("./riot-serve-data");
     let mut threads = 0usize;
-    let mut io_model = IoModel::default();
     let mut telemetry_addr: Option<String> = None;
     let mut slow_ms = 100u64;
     let mut durability = DurabilityFlags::default();
@@ -226,9 +219,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                     .parse()
                     .unwrap_or_else(|_| fail("`--threads` wants an integer"));
             }
-            "--io-model" => {
-                io_model = IoModel::from_str(&value("--io-model")).unwrap_or_else(|e| fail(&e));
-            }
             "--telemetry-addr" => telemetry_addr = Some(value("--telemetry-addr")),
             "--slow-ms" => {
                 slow_ms = value("--slow-ms")
@@ -244,7 +234,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
     let mut cfg = ServeConfig::new(root);
     cfg.threads = threads;
-    cfg.io_model = io_model;
     cfg.telemetry_addr = telemetry_addr;
     cfg.slow_threshold = Duration::from_millis(slow_ms);
     durability.apply(&mut cfg);
@@ -274,7 +263,6 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     let mut bench = BenchConfig::default();
     let mut spawn = false;
     let mut suite = false;
-    let mut io_model = IoModel::default();
     let mut conn_scales: Vec<usize> = vec![64, 256, 1024];
     let mut out: Option<PathBuf> = None;
     let mut durability = DurabilityFlags::default();
@@ -304,9 +292,6 @@ fn cmd_bench(args: &[String]) -> ExitCode {
                 bench.window = value("--window")
                     .parse()
                     .unwrap_or_else(|_| fail("`--window` wants an integer"));
-            }
-            "--io-model" => {
-                io_model = IoModel::from_str(&value("--io-model")).unwrap_or_else(|e| fail(&e));
             }
             "--conn-scale" => {
                 conn_scales = value("--conn-scale")
@@ -371,7 +356,6 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         }
         let bind = Bind::Unix(dir.join("bench.sock"));
         let mut cfg = ServeConfig::new(dir.join("wal"));
-        cfg.io_model = io_model;
         durability.apply(&mut cfg);
         // We know the spawned server's window; stamp it into the report.
         bench.group_commit_us = Some(durability.effective_us());

@@ -14,43 +14,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How the server runs its connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// One readiness-driven `poll(2)` event loop owns every connection:
-    /// non-blocking sockets, zero-copy frame decode, bounded write
-    /// backlogs. The default — holds thousands of connections on a
-    /// handful of threads.
-    #[default]
-    Poll,
-    /// The original reader-thread + writer-thread per connection model
-    /// (two OS threads per client). Kept behind `--io-model threads`
-    /// as the blocking fallback.
-    Threads,
-}
-
-impl IoModel {
-    /// The CLI spelling (`poll` / `threads`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoModel::Poll => "poll",
-            IoModel::Threads => "threads",
-        }
-    }
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoModel, String> {
-        match s {
-            "poll" => Ok(IoModel::Poll),
-            "threads" => Ok(IoModel::Threads),
-            other => Err(format!("unknown io model `{other}` (poll|threads)")),
-        }
-    }
-}
-
 /// Builds the library every fresh session starts from. Sessions never
 /// share a [`Library`] (each worker-owned session has its own), so the
 /// factory is called once per `open`.
@@ -127,12 +90,9 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Per-connection socket write timeout.
     pub write_timeout: Duration,
-    /// Connection plane: the readiness event loop (default) or
-    /// thread-per-connection.
-    pub io_model: IoModel,
-    /// Poll model only: most pending write-backlog bytes per
-    /// connection. Reads pause at a quarter of this; crossing it
-    /// evicts the connection (`serve.conn.evicted`).
+    /// Most pending write-backlog bytes per connection. Reads pause at
+    /// a quarter of this; crossing it evicts the connection
+    /// (`serve.conn.evicted`).
     pub conn_backlog_max: usize,
     /// Library every fresh session starts from.
     pub library: LibraryFactory,
@@ -147,7 +107,7 @@ pub struct ServeConfig {
     /// decomposed phase timings and recorded in the flight recorder.
     pub slow_threshold: Duration,
     /// The always-on flight recorder: shared with every worker and
-    /// connection thread, dumped on panic, fault trip, or the `dump`
+    /// the event loop, dumped on panic, fault trip, or the `dump`
     /// wire verb. Replace with `Arc::new(FlightRecorder::new(cap))` to
     /// change the ring size (default 4096 events).
     pub flightrec: Arc<FlightRecorder>,
@@ -166,7 +126,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("snapshot_every", &self.snapshot_every)
             .field("read_timeout", &self.read_timeout)
             .field("write_timeout", &self.write_timeout)
-            .field("io_model", &self.io_model)
             .field("conn_backlog_max", &self.conn_backlog_max)
             .field("telemetry_addr", &self.telemetry_addr)
             .field("slow_threshold", &self.slow_threshold)
@@ -178,7 +137,7 @@ impl ServeConfig {
     /// Defaults for `root`: 0 (auto) threads, 256-job inboxes, 64
     /// commands per batch, 20 ms ticks, 60 s idle eviction, a 1 ms
     /// group-commit window, snapshots every 1000 records, 30 s socket
-    /// timeouts, the poll io-model with 4 MiB write backlogs, the
+    /// timeouts, 4 MiB per-connection write backlogs, the
     /// [`standard_library`], no faults, no telemetry listener, a
     /// 100 ms slow-command threshold, and a 4096-event flight
     /// recorder.
@@ -194,7 +153,6 @@ impl ServeConfig {
             snapshot_every: 1000,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
-            io_model: IoModel::default(),
             conn_backlog_max: 4 << 20,
             library: Arc::new(standard_library),
             faults: ServeFaults::none(),

@@ -1,4 +1,4 @@
-//! The per-connection state machine behind the poll io-model.
+//! The per-connection state machine behind the server's event loop.
 //!
 //! A [`Connection`] is a **pure** state machine: bytes in
 //! ([`Connection::ingest`]), events out ([`Connection::next_event`]),

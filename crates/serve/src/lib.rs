@@ -11,10 +11,10 @@
 //!   WAL compaction)
 //! * [`manager`] — the sharded worker pool (batching, backpressure,
 //!   idle eviction)
-//! * [`conn`] — the pure per-connection state machine behind the poll
-//!   io-model (zero-copy scan buffer, bounded write backlog)
-//! * [`server`] — the readiness-driven event loop (default) and the
-//!   thread-per-connection fallback, accept, drain
+//! * [`conn`] — the pure per-connection state machine behind the event
+//!   loop (zero-copy scan buffer, bounded write backlog)
+//! * [`server`] — the readiness-driven event loop: accept, dispatch,
+//!   drain
 //! * [`client`] — a small blocking client used by the bench, the CLI
 //!   and the tests
 //! * [`bench`] — the load generator behind `riot-serve bench`
@@ -45,10 +45,10 @@ pub mod telemetry;
 
 pub use bench::{
     run_bench, run_conn_point, run_conn_scaling, run_recovery_bench, run_suite, BenchConfig,
-    BenchReport, BenchSuite, ConnScalePoint, RecoveryPoint, THREADS_SCALE_CAP,
+    BenchReport, BenchSuite, ConnScalePoint, RecoveryPoint,
 };
 pub use client::Client;
-pub use config::{resolve_threads, standard_library, IoModel, LibraryFactory, ServeConfig};
+pub use config::{resolve_threads, standard_library, LibraryFactory, ServeConfig};
 pub use conn::{ConnEvent, ConnState, Connection, QueueOutcome, TraceEvent};
 pub use fault::ServeFaults;
 pub use flightrec::{FlightEvent, FlightKind, FlightRecorder};

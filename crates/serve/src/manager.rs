@@ -87,34 +87,19 @@ pub enum JobKind {
     },
 }
 
-/// Where a job's reply goes. The thread-per-connection model hands
-/// each worker a plain channel its writer thread drains
-/// ([`ReplyTx::direct`]); the poll event loop hands out a **routed**
-/// sender ([`ReplyTx::routed`]) that tags each reply with the
-/// connection's token and then kicks the loop's wakeup pipe, so a
-/// blocked `poll(2)` learns immediately that a reply is ready to
-/// write. Cloning is cheap either way (a channel sender plus, for the
-/// routed form, an `Arc`).
+/// Where a job's reply goes: the event loop's shared channel, tagged
+/// with the connection's token. Every send then kicks the loop's
+/// wakeup pipe, so a blocked `poll(2)` learns immediately that a reply
+/// is ready to write. Cloning is cheap (a channel sender and an
+/// `Arc`).
 #[derive(Clone)]
-pub struct ReplyTx(ReplyTxInner);
-
-#[derive(Clone)]
-enum ReplyTxInner {
-    Direct(Sender<Reply>),
-    Routed {
-        tx: Sender<(u64, Reply)>,
-        token: u64,
-        wake: Arc<crate::net::WakePipe>,
-    },
+pub struct ReplyTx {
+    tx: Sender<(u64, Reply)>,
+    token: u64,
+    wake: Arc<crate::net::WakePipe>,
 }
 
 impl ReplyTx {
-    /// Replies go straight to `tx` (a dedicated writer thread drains
-    /// it).
-    pub fn direct(tx: Sender<Reply>) -> ReplyTx {
-        ReplyTx(ReplyTxInner::Direct(tx))
-    }
-
     /// Replies go to the event loop's shared channel tagged with
     /// `token`, and `wake` is kicked after every send.
     pub fn routed(
@@ -122,31 +107,20 @@ impl ReplyTx {
         token: u64,
         wake: Arc<crate::net::WakePipe>,
     ) -> ReplyTx {
-        ReplyTx(ReplyTxInner::Routed { tx, token, wake })
+        ReplyTx { tx, token, wake }
     }
 
-    /// Delivers one reply. A gone receiver (connection already closed)
-    /// is not an error — the reply is simply dropped, exactly like the
-    /// old writer-thread channel.
+    /// Delivers one reply. A gone receiver (event loop already
+    /// stopped) is not an error — the reply is simply dropped.
     pub fn send(&self, reply: Reply) {
-        match &self.0 {
-            ReplyTxInner::Direct(tx) => {
-                let _ = tx.send(reply);
-            }
-            ReplyTxInner::Routed { tx, token, wake } => {
-                let _ = tx.send((*token, reply));
-                wake.wake();
-            }
-        }
+        let _ = self.tx.send((self.token, reply));
+        self.wake.wake();
     }
 }
 
 impl std::fmt::Debug for ReplyTx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            ReplyTxInner::Direct(_) => f.write_str("ReplyTx::Direct"),
-            ReplyTxInner::Routed { token, .. } => write!(f, "ReplyTx::Routed({token})"),
-        }
+        write!(f, "ReplyTx({})", self.token)
     }
 }
 
@@ -1036,9 +1010,33 @@ fn evict_idle(cfg: &ServeConfig, sessions: &mut HashMap<String, SessionEntry>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::WakePipe;
     use std::path::{Path, PathBuf};
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Receiver, RecvError};
     use std::time::Duration;
+
+    /// The connection token every test reply is routed under.
+    const TOKEN: u64 = 7;
+
+    /// The routed sender the event loop hands out — a `(u64, Reply)`
+    /// channel plus a wakeup pipe — and its receiving end.
+    fn reply_channel() -> (ReplyTx, Replies) {
+        let (tx, rx) = channel();
+        let wake = Arc::new(WakePipe::new().unwrap());
+        (ReplyTx::routed(tx, TOKEN, wake), Replies(rx))
+    }
+
+    /// The event loop's side of [`reply_channel`]: checks that each
+    /// reply is routed to the connection's token.
+    struct Replies(Receiver<(u64, Reply)>);
+
+    impl Replies {
+        fn recv(&self) -> Result<Reply, RecvError> {
+            let (token, reply) = self.0.recv()?;
+            assert_eq!(token, TOKEN, "reply routed to the wrong connection");
+            Ok(reply)
+        }
+    }
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("riot-serve-mgr-{tag}-{}", std::process::id()));
@@ -1057,8 +1055,7 @@ mod tests {
     fn open_cmd_close_round_trip() {
         let root = tmp_root("roundtrip");
         let mgr = SessionManager::start(test_cfg(&root)).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = reply_channel();
         mgr.submit(
             "a",
             JobKind::Open { cell: "TOP".into() },
@@ -1107,8 +1104,7 @@ mod tests {
     fn pipelined_replies_stay_in_order() {
         let root = tmp_root("order");
         let mgr = SessionManager::start(test_cfg(&root)).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = reply_channel();
         mgr.submit(
             "p",
             JobKind::Open { cell: "TOP".into() },
@@ -1142,8 +1138,7 @@ mod tests {
         cfg.threads = 1;
         cfg.inbox_cap = 4;
         let mgr = SessionManager::start(cfg).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = reply_channel();
         // Stall the single worker so the inbox backs up.
         mgr.submit(
             "b",
@@ -1179,8 +1174,7 @@ mod tests {
     fn cmd_without_open_recovers_or_errors() {
         let root = tmp_root("lazy");
         let mgr = SessionManager::start(test_cfg(&root)).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = reply_channel();
         mgr.submit(
             "ghost",
             JobKind::Cmd {
@@ -1230,8 +1224,7 @@ mod tests {
         // head, two commands succeed, the third crashes the session.
         cfg.faults.arm(FAULT_SERVE_JOURNAL_APPEND, 2);
         let mgr = SessionManager::start(cfg).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = reply_channel();
         mgr.submit(
             "f",
             JobKind::Open { cell: "TOP".into() },
@@ -1312,8 +1305,7 @@ mod tests {
         // records never reach disk, so its replies must refuse.
         cfg.faults.arm(riot_core::FAULT_SERVE_GROUP_FLUSH, 0);
         let mgr = SessionManager::start(cfg).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = reply_channel();
         mgr.submit(
             "g",
             JobKind::Open { cell: "TOP".into() },
@@ -1379,8 +1371,7 @@ mod tests {
         let mut cfg = test_cfg(&root);
         cfg.snapshot_every = 4;
         let mgr = SessionManager::start(cfg).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = reply_channel();
         mgr.submit(
             "si",
             JobKind::Open { cell: "TOP".into() },
@@ -1413,8 +1404,7 @@ mod tests {
         assert!(crate::snapshot::snap_path(&root, "si").exists());
         // Reopen from disk: snapshot + tail must equal the full state.
         let mgr = SessionManager::start(test_cfg(&root)).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = reply_channel();
         mgr.submit(
             "si",
             JobKind::Open { cell: "TOP".into() },
@@ -1454,8 +1444,7 @@ mod tests {
         let mut cfg = test_cfg(&root);
         cfg.idle_timeout = Duration::from_millis(30);
         let mgr = SessionManager::start(cfg).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = reply_channel();
         mgr.submit(
             "idle",
             JobKind::Open { cell: "TOP".into() },

@@ -255,9 +255,9 @@ pub fn scan_frame_ref(buf: &[u8]) -> FrameScanRef<'_> {
     }
 }
 
-/// Copying variant of [`scan_frame_ref`], kept for callers that need
-/// the payload to outlive the buffer (the threads io-model's reader
-/// drains its buffer before dispatching).
+/// Copying variant of [`scan_frame_ref`], for callers that need the
+/// payload to outlive the buffer ([`decode_frame_eof`], the proptests
+/// and the golden fixture).
 pub fn scan_frame(buf: &[u8]) -> FrameScan {
     match scan_frame_ref(buf) {
         FrameScanRef::Complete { payload, consumed } => FrameScan::Complete {

@@ -805,10 +805,14 @@ mod tests {
         let (mut entry2, kind) =
             SessionEntry::open(&root, "tf", "TOP", standard_library()).unwrap();
         assert!(matches!(kind, OpenKind::Recovered { records: 3, .. }));
+        // Sibling tests bump the global counter in parallel: read the
+        // path off this call's own result, and only require the counter
+        // to advance.
+        assert_eq!(entry2.snap_covered(), 0, "fell back to full replay");
         let full_after = riot_trace::registry()
             .counter("serve.recovery.full_replay")
             .get();
-        assert_eq!(full_after - full_before, 1, "fell back to full replay");
+        assert!(full_after > full_before, "fallback was counted");
         let ed = Editor::resume(&mut entry2.lib, entry2.cp.take().unwrap()).unwrap();
         assert_eq!(ed.instances().len(), 2);
         let _ = std::fs::remove_dir_all(root);

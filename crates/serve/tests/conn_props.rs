@@ -1,4 +1,4 @@
-//! Property tests for the poll io-model's per-connection state
+//! Property tests for the event loop's per-connection state
 //! machine: arbitrary interleavings of partial-frame ingestion, reply
 //! delivery lag and write-quantum stalls never panic, never surface a
 //! torn frame, keep every frame in order, and always terminate in a

@@ -124,7 +124,10 @@ fn torn_snapshot_fixture_falls_back_to_full_replay() {
         matches!(kind, riot_serve::OpenKind::Recovered { records: 9, .. }),
         "full WAL replays all 9 records, got {kind:?}"
     );
-    assert_eq!(fallbacks.get() - before, 1, "recovery took the fallback");
+    // The path taken is read off this call's own result; the global
+    // counter is shared with sibling tests, so it need only advance.
+    assert_eq!(entry.snap_covered(), 0, "recovery took the fallback");
+    assert!(fallbacks.get() > before, "fallback was counted");
     assert_model_equivalent(entry, &script_full());
     let _ = std::fs::remove_dir_all(root);
 }
@@ -148,8 +151,11 @@ fn bad_crc_snapshot_fixture_falls_back_to_full_replay() {
         matches!(kind, riot_serve::OpenKind::Recovered { records: 9, .. }),
         "full WAL replays all 9 records, got {kind:?}"
     );
-    assert_eq!(corrupt.get() - c0, 1, "the bad CRC was counted");
-    assert_eq!(fallbacks.get() - f0, 1, "recovery took the fallback");
+    // The path taken is read off this call's own result; the global
+    // counters are shared with sibling tests, so they need only advance.
+    assert_eq!(entry.snap_covered(), 0, "recovery took the fallback");
+    assert!(corrupt.get() > c0, "the bad CRC was counted");
+    assert!(fallbacks.get() > f0, "fallback was counted");
     assert_model_equivalent(entry, &script_full());
     let _ = std::fs::remove_dir_all(root);
 }

@@ -145,7 +145,10 @@ fn torn_snapshot_never_compacts_and_recovery_falls_back() {
         kind,
         riot_serve::OpenKind::Recovered { records: 11, .. }
     ));
-    assert_eq!(fallbacks.get() - before, 1, "fallback path taken");
+    // The path taken is read off this call's own result; the global
+    // counter is shared with sibling tests, so it need only advance.
+    assert_eq!(entry.snap_covered(), 0, "fallback path taken");
+    assert!(fallbacks.get() > before, "fallback was counted");
 
     // Model equivalence of the fallback recovery.
     let mut mlib = standard_library();

@@ -18,6 +18,9 @@
 //!   solved by both engines on identical input, giving the
 //!   river-vs-grid cost ratio for the fast path the grid router is
 //!   *not* meant to replace.
+//! * **congested** — the same all-metal channel family at 256 and 512
+//!   nets, grid-routed: wall-clock time, whether it routed, and the
+//!   negotiation's rounds, conflicts and vias.
 
 use riot::drc::RuleSet;
 use riot::geom::par;
@@ -195,13 +198,50 @@ fn bench_river_vs_grid(args: &Args) -> String {
     )
 }
 
+/// Net counts of the congested legs.
+const CONGESTED_NETS: [usize; 2] = [256, 512];
+
+fn bench_congested(args: &Args) -> String {
+    let legs: Vec<String> = CONGESTED_NETS
+        .iter()
+        .map(|&nets| {
+            let problem = riot_bench::route_problem(nets, 20, 7);
+            let (ns, result) = time_ns(args.iters, || grid_route(&problem, &[]));
+            let (routed, stats) = match &result {
+                Ok(route) => {
+                    grid::verify_clearance(route, &[]).expect("clearance");
+                    assert_drc_clean(route, "congested workload");
+                    (true, route.stats())
+                }
+                Err(e) => {
+                    eprintln!("congested: {nets} nets unroutable: {e}");
+                    (false, Default::default())
+                }
+            };
+            eprintln!(
+                "congested: {nets} nets, {:.1} ms, routed {routed}, {} rounds, {} conflicts, {} vias",
+                ns as f64 / 1e6,
+                stats.restarts,
+                stats.conflicts,
+                stats.vias
+            );
+            format!(
+                "{{\"nets\": {nets}, \"ns\": {ns}, \"routed\": {routed}, \"rounds\": {}, \"conflicts\": {}, \"vias\": {}}}",
+                stats.restarts, stats.conflicts, stats.vias
+            )
+        })
+        .collect();
+    format!("[\n    {}\n  ]", legs.join(",\n    "))
+}
+
 fn main() {
     let args = parse_args();
     let grid = bench_grid(&args);
     let comparison = bench_river_vs_grid(&args);
+    let congested = bench_congested(&args);
     let json = format!(
-        "{{\n  \"schema\": \"riot-bench-route/1\",\n  \"iters\": {},\n  \"grid\": {},\n  \"river_vs_grid\": {}\n}}\n",
-        args.iters, grid, comparison
+        "{{\n  \"schema\": \"riot-bench-route/1\",\n  \"iters\": {},\n  \"grid\": {},\n  \"river_vs_grid\": {},\n  \"congested\": {}\n}}\n",
+        args.iters, grid, comparison, congested
     );
     std::fs::write(&args.out, &json).expect("write benchmark output");
     eprintln!("wrote {}", args.out);

@@ -58,7 +58,8 @@ pub enum RouteError {
     },
     /// The grid router exhausted the maze: no obstacle-free path exists
     /// for the net inside the channel window (or the search hit its
-    /// deterministic expansion cap).
+    /// deterministic expansion cap), or the net still violated spacing
+    /// against another net when negotiation hit its round cap.
     Unroutable {
         /// Net index.
         net: usize,
@@ -110,7 +111,7 @@ impl fmt::Display for RouteError {
                 "route needs a {needed} lambda channel but only {available} is available"
             ),
             RouteError::Unroutable { net } => {
-                write!(f, "net {net} has no obstacle-free path through the channel")
+                write!(f, "net {net} has no clear path through the channel")
             }
             RouteError::BadPitch { pitch } => {
                 write!(f, "grid pitch must be positive, got {pitch}")

@@ -12,13 +12,16 @@
 //! route can connect terminals on *different* layers and detour around
 //! anything in the channel.
 //!
-//! Multi-net problems route with a two-phase **plan/commit** scheme:
-//! every net first solves concurrently against the frozen obstacle-only
-//! grid (via [`riot_geom::par::map_heavy`]), then commits sequentially
-//! in net order — a commit that would violate spacing against an
-//! earlier net's geometry is re-routed alone against the obstacles plus
-//! everything already committed. Plans are independent and commits are
-//! ordered, so the result is identical at any worker-thread count.
+//! Multi-net problems route **plan → negotiate**. Every net first
+//! solves concurrently against the frozen obstacle-only grid (via
+//! [`riot_geom::par::map_heavy`]); spacing-clean plans are the route.
+//! Otherwise nets negotiate congestion, PathFinder-style (McMurchie &
+//! Ebeling 1995): each round re-routes only the conflicting nets, one
+//! at a time in net order, at `pres · occupancy + history` per grid
+//! element other nets cover, with `pres` doubling and history growing
+//! each round, until no net conflicts or the round cap reports the
+//! channel unroutable. Plans are independent and re-routes ordered, so
+//! the result is identical at any worker-thread count.
 //!
 //! The grid is **non-uniform**: node columns sit every
 //! [`crate::RouterOptions::grid_pitch`] lambda *plus* a dedicated
@@ -32,12 +35,12 @@
 
 use crate::error::RouteError;
 use crate::river::{check_edge_spacing, spacing_lambda};
-use crate::straight::unique_pin_name;
 use crate::terminal::RouteProblem;
 use riot_geom::{index::SpatialIndex, par, Layer, Path, Point, Rect};
-use riot_sticks::{Contact, ContactKind, Pin, SticksCell, SymWire};
+use riot_sticks::ContactKind;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Cost of one lambda of wire.
 const COST_STEP: u64 = 2;
@@ -48,14 +51,16 @@ const COST_VIA: u64 = 40;
 /// Deterministic per-net expansion cap: the search gives up (and the
 /// net reports [`RouteError::Unroutable`]) rather than running forever.
 const MAX_EXPANSIONS: u64 = 4_000_000;
-/// Commit-phase restart budget: each restart promotes one failed net
-/// to the front of the commit order. Independent plans tend to pile
-/// jogs into the same rows, so a late net can find its terminal region
-/// sealed by earlier commits; promotion lets it route first and makes
-/// the sealing nets detour instead. The front net can never fail (it
-/// commits into an empty channel), so a handful of restarts settles
-/// any realistic pile-up.
-const MAX_RESTARTS: u64 = 8;
+/// Rip-up rounds a negotiation may run before the channel height is
+/// declared unroutable.
+const MAX_ROUNDS: u64 = 16;
+/// Present-congestion cost per covering rect in the first negotiation
+/// round; it doubles every round up to [`PRES_MAX`], which keeps every
+/// path cost far inside `u64`.
+const PRES_START: u64 = 2;
+const PRES_MAX: u64 = 1 << 12;
+/// Cost per round an element was found contested (its history).
+const COST_HIST: u64 = 4;
 /// Columns kept free beyond the terminal extent so detours can swing
 /// around edge obstacles (added on top of the widest wire).
 const X_SLACK: i64 = 8;
@@ -133,16 +138,12 @@ impl GridWire {
     pub fn bottom_end(&self) -> Point {
         self.segments
             .first()
-            .map(|(_, _, p)| p.start())
-            .unwrap_or(Point::new(0, 0))
+            .map_or(Point::new(0, 0), |s| s.2.start())
     }
 
     /// The wire's end on the top channel edge.
     pub fn top_end(&self) -> Point {
-        self.segments
-            .last()
-            .map(|(_, _, p)| p.end())
-            .unwrap_or(Point::new(0, 0))
+        self.segments.last().map_or(Point::new(0, 0), |s| s.2.end())
     }
 
     /// Every mask rectangle the net paints on routable layers, in
@@ -176,12 +177,13 @@ pub struct GridStats {
     pub expansions: u64,
     /// Total vias placed.
     pub vias: u64,
-    /// Commit-phase conflicts detected between planned nets.
+    /// Nets found violating spacing against another net, summed over
+    /// the negotiation rounds (0 when the plans are already clean).
     pub conflicts: u64,
-    /// Single-net re-routes run to resolve those conflicts.
+    /// Rip-up re-routes run to resolve those conflicts.
     pub retries: u64,
-    /// Commit passes restarted with a failed net promoted to the front
-    /// of the commit order (see [`MAX_RESTARTS`]).
+    /// Negotiation rounds: passes that ripped up and re-routed every
+    /// conflicting net (see [`MAX_ROUNDS`]).
     pub restarts: u64,
 }
 
@@ -219,67 +221,6 @@ impl GridRoute {
     pub fn plan_expansions(&self) -> &[u64] {
         &self.plan_expansions
     }
-
-    /// Builds the Sticks route cell for this route: wires per segment,
-    /// a contact per via, pins on both channel edges (primed on name
-    /// collision, like the river cell generator).
-    pub fn to_sticks_cell(&self, name: impl Into<String>) -> SticksCell {
-        let mut xmin = i64::MAX;
-        let mut xmax = i64::MIN;
-        let mut wmax: i64 = 0;
-        for w in &self.wires {
-            for (_, sw, path) in &w.segments {
-                wmax = wmax.max(*sw);
-                for &p in path.points() {
-                    xmin = xmin.min(p.x);
-                    xmax = xmax.max(p.x);
-                }
-            }
-            for v in &w.vias {
-                xmin = xmin.min(v.position.x);
-                xmax = xmax.max(v.position.x);
-            }
-        }
-        let pad = (wmax + 1) / 2 + 2;
-        let bbox = Rect::new(xmin - pad, 0, xmax + pad, self.height);
-        let mut cell = SticksCell::new(name, bbox);
-
-        let mut used = std::collections::HashSet::new();
-        for w in &self.wires {
-            if let Some((layer, sw, path)) = w.segments.first() {
-                cell.push_pin(Pin {
-                    name: unique_pin_name(&w.name, &mut used),
-                    side: riot_geom::Side::Bottom,
-                    layer: *layer,
-                    position: path.start(),
-                    width: *sw,
-                });
-            }
-            if let Some((layer, sw, path)) = w.segments.last() {
-                cell.push_pin(Pin {
-                    name: unique_pin_name(&w.name, &mut used),
-                    side: riot_geom::Side::Top,
-                    layer: *layer,
-                    position: path.end(),
-                    width: *sw,
-                });
-            }
-            for (layer, sw, path) in &w.segments {
-                cell.push_wire(SymWire {
-                    layer: *layer,
-                    width: *sw,
-                    path: path.clone(),
-                });
-            }
-            for v in &w.vias {
-                cell.push_contact(Contact {
-                    kind: v.kind,
-                    position: v.position,
-                });
-            }
-        }
-        cell
-    }
 }
 
 /// Checks a finished grid route for spacing violations: every pair of
@@ -294,44 +235,75 @@ impl GridRoute {
 /// A human-readable description of the first violation (coordinates in
 /// half-lambda).
 pub fn verify_clearance(route: &GridRoute, obstacles: &[(Layer, Rect)]) -> Result<(), String> {
-    let nets: Vec<Vec<(Layer, Rect)>> = route.wires.iter().map(|w| w.rects()).collect();
-    let obstacles: Vec<(Layer, Rect)> = obstacles.iter().map(|&(l, r)| (l, phys(r))).collect();
-    for i in 0..nets.len() {
-        for j in i + 1..nets.len() {
-            if let Some((layer, ra, rb)) = rect_sets_conflict(&nets[i], &nets[j]) {
-                return Err(format!(
-                    "nets {} and {} violate {layer} spacing (half-lambda): {ra} vs {rb}",
-                    route.wires[i].name, route.wires[j].name
-                ));
-            }
-        }
-        if let Some((layer, ra, rb)) = rect_sets_conflict(&nets[i], &obstacles) {
-            return Err(format!(
+    let mut rects: Vec<(usize, Layer, Rect)> = owned_rects(route.wires.iter().map(GridWire::rects));
+    rects.extend(obstacles.iter().map(|&(l, r)| (OBSTACLE, l, phys(r))));
+    let mut first = Ok(());
+    spacing_violations(&rects, |&(a, layer, ra), &(b, _, rb)| {
+        first = Err(if b == OBSTACLE {
+            format!(
                 "net {} violates {layer} spacing against an obstacle (half-lambda): {ra} vs {rb}",
-                route.wires[i].name
-            ));
-        }
-    }
-    Ok(())
+                route.wires[a].name
+            )
+        } else {
+            format!(
+                "nets {} and {} violate {layer} spacing (half-lambda): {ra} vs {rb}",
+                route.wires[a].name, route.wires[b].name
+            )
+        });
+        false
+    });
+    first
 }
 
-/// First same-layer spacing conflict between two **half-lambda** rect
-/// sets, if any.
-fn rect_sets_conflict(a: &[(Layer, Rect)], b: &[(Layer, Rect)]) -> Option<(Layer, Rect, Rect)> {
-    for &(la, ra) in a {
-        for &(lb, rb) in b {
-            if la != lb {
-                continue;
-            }
-            let s2 = 2 * spacing_lambda(la);
-            let dx = (rb.x0 - ra.x1).max(ra.x0 - rb.x1).max(0);
-            let dy = (rb.y0 - ra.y1).max(ra.y0 - rb.y1).max(0);
-            if dx < s2 && dy < s2 {
-                return Some((la, ra, rb));
+/// Owner tag of obstacle rects in [`spacing_violations`].
+const OBSTACLE: usize = usize::MAX;
+
+/// Tags each net's rects with the net's index.
+fn owned_rects(nets: impl Iterator<Item = Vec<(Layer, Rect)>>) -> Vec<(usize, Layer, Rect)> {
+    nets.enumerate()
+        .flat_map(|(i, rects)| rects.into_iter().map(move |(l, r)| (i, l, r)))
+        .collect()
+}
+
+/// Visits every pair of same-layer **half-lambda** rects with different
+/// owners that violates the layer's spacing rule (two obstacles are
+/// exempt) in one sort-and-sweep along x: a channel is long and thin, so
+/// this beats a square-bucketed [`SpatialIndex`], which files each
+/// crossing wire in every row. Pairs arrive as `(earlier, later)` in
+/// slice order; `hit` returns `false` to stop.
+fn spacing_violations(
+    rects: &[(usize, Layer, Rect)],
+    mut hit: impl FnMut(&(usize, Layer, Rect), &(usize, Layer, Rect)) -> bool,
+) {
+    let mut order: Vec<usize> = (0..rects.len()).collect();
+    order.sort_unstable_by_key(|&i| rects[i].2.x0);
+    for (k, &i) in order.iter().enumerate() {
+        let (a, s2) = (&rects[i], 2 * spacing_lambda(rects[i].1));
+        for &j in order[k + 1..]
+            .iter()
+            .take_while(|&&j| rects[j].2.x0 - a.2.x1 < s2)
+        {
+            let b = &rects[j];
+            let close = (b.2.y0 - a.2.y1).max(a.2.y0 - b.2.y1) < s2;
+            if close && b.1 == a.1 && b.0 != a.0 && !(a.0 == OBSTACLE && b.0 == OBSTACLE) {
+                let (first, second) = if i < j { (a, b) } else { (b, a) };
+                if !hit(first, second) {
+                    return;
+                }
             }
         }
     }
-    None
+}
+
+/// Nets whose wires violate spacing against another net's, ascending.
+fn contested(nets: &[Vec<(Layer, Rect)>]) -> Vec<usize> {
+    let mut hit = vec![false; nets.len()];
+    spacing_violations(&owned_rects(nets.iter().cloned()), |a, b| {
+        hit[a.0] = true;
+        hit[b.0] = true;
+        true
+    });
+    (0..nets.len()).filter(|&i| hit[i]).collect()
 }
 
 /// One net's search inputs.
@@ -347,39 +319,50 @@ struct Spec {
 
 /// A terminal keep-out: the vertical escape column reserved for one
 /// net at its terminal. Other nets' searches must keep design-rule
-/// spacing from it, so no commit can ever seal a later net's terminal
-/// against the channel edge; the owning net is exempt (the stub *is*
-/// its access path). `x`/`y0`/`y1` are lambda-frame; `w` is the full
-/// effective wire width (the half-lambda half-extent).
+/// spacing from it, so no other net can seal the terminal against the
+/// channel edge; the owning net is exempt (the stub *is* its access
+/// path). `x` is the lambda-frame column, `rect` the half-lambda
+/// extent of a full-width wire along the stub.
 struct Stub {
     x: i64,
-    w: i64,
+    rect: Rect,
     layer: usize,
     owner: usize,
-    y0: i64,
-    y1: i64,
 }
 
-/// Per-(layer, half-width) blockage: nodes plus horizontal/vertical
-/// edges between adjacent grid lines (edges are checked over their full
-/// span, so coarse pitches stay safe).
-struct Mask {
-    node: Vec<bool>,
-    hedge: Vec<bool>,
-    vedge: Vec<bool>,
+/// Per-(layer, width) values over the grid nodes plus the horizontal
+/// and vertical edges between adjacent grid lines (edges cover their
+/// full span, so coarse pitches stay safe).
+struct Planes<T> {
+    node: Vec<T>,
+    hedge: Vec<T>,
+    vedge: Vec<T>,
+}
+
+/// Obstacle blockage for one `(layer, width)`.
+type Mask = Planes<bool>;
+
+impl<T: Copy + Default> Planes<T> {
+    /// Planes over an `nx × ny` grid; the node or the edge planes can be
+    /// left empty where nothing reads them.
+    fn new(nx: usize, ny: usize, nodes: bool, edges: bool) -> Self {
+        let plane = |on: bool, n: usize| vec![T::default(); if on { n } else { 0 }];
+        Planes {
+            node: plane(nodes, nx * ny),
+            hedge: plane(edges, (nx - 1) * ny),
+            vedge: plane(edges, nx * (ny - 1)),
+        }
+    }
 }
 
 /// The rasterized channel: non-uniform axes and per-(layer, width)
-/// blockage masks. Via pads share the `(layer, 2)` masks — a 4λ pad's
-/// half-extent is exactly a half-width of 2 — so those keys always
-/// exist.
+/// blockage masks. Via pads share the `(layer, 4)` masks — a 4λ pad's
+/// half-extent is exactly 4 half-lambdas — so those keys always exist.
 struct Grid {
     xs: Vec<i64>,
     ys: Vec<i64>,
-    nx: usize,
-    ny: usize,
     height: i64,
-    /// Keyed by `(layer index, half-width)`; few entries, linear scan.
+    /// Keyed by `(layer index, width)`; few entries, linear scan.
     masks: Vec<((usize, i64), Mask)>,
     /// Terminal keep-outs, sorted by `x`.
     stubs: Vec<Stub>,
@@ -388,26 +371,19 @@ struct Grid {
 }
 
 impl Grid {
-    fn mask(&self, layer: usize, w2: i64) -> &Mask {
-        self.masks
-            .iter()
-            .find(|((l, w), _)| *l == layer && *w == w2)
-            .map(|(_, m)| m)
-            .expect("mask prebuilt for every (layer, width) a net can use")
-    }
-
-    /// Marks one committed net rectangle (half-lambda frame) into every
-    /// mask of its layer, so conflict re-routes see earlier commits
-    /// without rebuilding the grid. Masks are pure ORs, so the marking
-    /// order is irrelevant.
-    fn commit_rect(&mut self, layer: Layer, rect: Rect) {
-        let li = layer_idx(layer);
-        let s2 = 2 * spacing_lambda(layer);
-        for ((l, w), mask) in &mut self.masks {
-            if *l == li {
-                mark(mask, &self.xs, &self.ys, rect, *w, s2);
-            }
-        }
+    /// Per routable layer, the mask index a net's wires use and the
+    /// one its via pads use.
+    fn keys(&self, spec: &Spec) -> ([usize; 3], [usize; 3]) {
+        let key = |li: usize, w: i64| {
+            self.masks
+                .iter()
+                .position(|((l, mw), _)| *l == li && *mw == w)
+                .expect("mask prebuilt for every (layer, width) a net can use")
+        };
+        (
+            std::array::from_fn(|li| key(li, eff_width(spec.width, layer_of(li)))),
+            std::array::from_fn(|li| key(li, 4)),
+        )
     }
 
     /// Whether painting `rect` (half-lambda frame) on `layer` would
@@ -417,27 +393,79 @@ impl Grid {
             .stubs
             .partition_point(|st| 2 * st.x < rect.x0 - self.stub_reach);
         let s2 = 2 * spacing_lambda(layer_of(layer));
-        for st in &self.stubs[lo..] {
-            if 2 * st.x > rect.x1 + self.stub_reach {
-                break;
-            }
-            if st.owner == owner || st.layer != layer {
-                continue;
-            }
-            let sr = Rect::new(
-                2 * st.x - st.w,
-                2 * st.y0 - st.w,
-                2 * st.x + st.w,
-                2 * st.y1 + st.w,
-            );
-            let dx = (sr.x0 - rect.x1).max(rect.x0 - sr.x1).max(0);
-            let dy = (sr.y0 - rect.y1).max(rect.y0 - sr.y1).max(0);
-            if dx < s2 && dy < s2 {
-                return true;
+        self.stubs[lo..]
+            .iter()
+            .take_while(|st| 2 * st.x <= rect.x1 + self.stub_reach)
+            .filter(|st| st.owner != owner && st.layer == layer)
+            .any(|st| {
+                let r = st.rect;
+                (r.x0 - rect.x1).max(rect.x0 - r.x1) < s2
+                    && (r.y0 - rect.y1).max(rect.y0 - r.y1) < s2
+            })
+    }
+}
+
+/// One cell's negotiation state: how many net rects cover it, and in
+/// how many rip-ups a ripped-up net's path used it while others did too.
+#[derive(Clone, Copy, Default)]
+struct Load {
+    occ: u8,
+    hist: u8,
+}
+
+/// Negotiation state, allocated only when planned wires conflict: one
+/// [`Load`] plane per obstacle mask, over the same cells, plus the
+/// present-congestion factor of the round. Counts saturate: they only
+/// price the search, and conflicts are always decided on exact rects.
+struct Congestion {
+    loads: Vec<Planes<Load>>,
+    pres: u64,
+}
+
+impl Congestion {
+    /// Applies `f` to every cell that one of a net's `rects`
+    /// (half-lambda frame) covers, in every plane of the rect's layer.
+    fn visit(&mut self, grid: &Grid, rects: &[(Layer, Rect)], f: impl Fn(&mut Load)) {
+        for &(layer, rect) in rects {
+            let (li, s2) = (layer_idx(layer), 2 * spacing_lambda(layer));
+            for (((l, w), _), planes) in grid.masks.iter().zip(&mut self.loads) {
+                if *l == li {
+                    cover(planes, &grid.xs, &grid.ys, rect, *w, s2, &f);
+                }
             }
         }
-        false
     }
+
+    /// Grows the history of every cell a ripped-up net's `path` used
+    /// that other nets still occupy: the cells [`astar`] prices.
+    fn remember(&mut self, grid: &Grid, spec: &Spec, path: &[(usize, Point)]) {
+        let (wkeys, vkeys) = grid.keys(spec);
+        let nx = grid.xs.len();
+        let bump = |c: &mut Load| c.hist = c.hist.saturating_add(u8::from(c.occ > 0));
+        for step in path.windows(2) {
+            let ((la, a), (lb, b)) = (step[0], step[1]);
+            let xi = grid.xs.partition_point(|&x| x < a.x.min(b.x));
+            let yj = grid.ys.partition_point(|&y| y < a.y.min(b.y));
+            let n = yj * nx + xi;
+            if la != lb {
+                bump(&mut self.loads[vkeys[la]].node[n]);
+                bump(&mut self.loads[vkeys[lb]].node[n]);
+            } else if a.y == b.y {
+                bump(&mut self.loads[wkeys[la]].hedge[yj * (nx - 1) + xi]);
+            } else {
+                bump(&mut self.loads[wkeys[la]].vedge[n]);
+            }
+        }
+    }
+}
+
+/// The negotiation price `pres · occupancy + history` of the cell
+/// `pick` selects from load plane `k`; 0 while planning.
+fn toll(cong: Option<&Congestion>, k: usize, pick: impl Fn(&Planes<Load>) -> Load) -> u64 {
+    cong.map_or(0, |c| {
+        let load = pick(&c.loads[k]);
+        c.pres * u64::from(load.occ) + COST_HIST * u64::from(load.hist)
+    })
 }
 
 fn layer_of(idx: usize) -> Layer {
@@ -467,13 +495,21 @@ fn axis(lo: i64, hi: i64, pitch: i64, required: impl IntoIterator<Item = i64>) -
     xs
 }
 
-/// Marks one obstacle rect (half-lambda frame) into a mask for wires
-/// of full width `w`. The blocked band on each axis is the open
-/// interval `(r.lo - s2 - w, r.hi + s2 + w)` in half-lambda: a wire
-/// center (lambda coordinate `x`, physical edges at `2x ± w`) inside
-/// it has an axis gap `< s2` to the obstacle, the DRC spacing
-/// predicate.
-fn mark(mask: &mut Mask, xs: &[i64], ys: &[i64], r: Rect, w: i64, s2: i64) {
+/// Visits every element of `planes` that a wire of full width `w`
+/// cannot use without violating spacing against rect `r` (half-lambda
+/// frame). The covered band on each axis is the open interval
+/// `(r.lo - s2 - w, r.hi + s2 + w)` in half-lambda: a wire center
+/// (lambda coordinate `x`, physical edges at `2x ± w`) inside it has an
+/// axis gap `< s2` to the rect, the DRC spacing predicate.
+fn cover<T>(
+    planes: &mut Planes<T>,
+    xs: &[i64],
+    ys: &[i64],
+    r: Rect,
+    w: i64,
+    s2: i64,
+    f: impl Fn(&mut T),
+) {
     let nx = xs.len();
     let (xlo, xhi) = (r.x0 - s2 - w, r.x1 + s2 + w);
     let (ylo, yhi) = (r.y0 - s2 - w, r.y1 + s2 + w);
@@ -481,46 +517,22 @@ fn mark(mask: &mut Mask, xs: &[i64], ys: &[i64], r: Rect, w: i64, s2: i64) {
     let ib = xs.partition_point(|&x| 2 * x < xhi);
     let ja = ys.partition_point(|&y| 2 * y <= ylo);
     let jb = ys.partition_point(|&y| 2 * y < yhi);
+    // Runs of one row; a plane left empty is skipped.
+    let run = |plane: &mut Vec<T>, cells| plane.get_mut(cells).into_iter().flatten().for_each(&f);
     for j in ja..jb {
-        for i in ia..ib {
-            mask.node[j * nx + i] = true;
-        }
+        run(&mut planes.node, j * nx + ia..j * nx + ib);
         // Horizontal edges whose covered span [2*xs[i]-w, 2*xs[i+1]+w]
-        // overlaps the obstacle's inflated x-range.
-        let ea = ia.saturating_sub(1);
-        let eb = ib.min(nx - 1);
-        for i in ea..eb {
-            mask.hedge[j * (nx - 1) + i] = true;
-        }
+        // overlaps the rect's inflated x-range.
+        let e = j * (nx - 1);
+        run(
+            &mut planes.hedge,
+            e + ia.saturating_sub(1)..e + ib.min(nx - 1),
+        );
     }
     // Vertical edges: the y-span test loosens by one row on each side.
-    let ja_e = ja.saturating_sub(1);
-    let jb_e = jb.min(ys.len() - 1);
-    for j in ja_e..jb_e {
-        for i in ia..ib {
-            mask.vedge[j * nx + i] = true;
-        }
+    for j in ja.saturating_sub(1)..jb.min(ys.len() - 1) {
+        run(&mut planes.vedge, j * nx + ia..j * nx + ib);
     }
-}
-
-/// Rasterizes obstacles into a fresh mask for wires of full width `w`
-/// by querying the layer's spatial index (lambda frame) over the
-/// channel window.
-fn rasterize(index: &SpatialIndex, xs: &[i64], ys: &[i64], w: i64, s2: i64) -> Mask {
-    let (nx, ny) = (xs.len(), ys.len());
-    let mut mask = Mask {
-        node: vec![false; nx * ny],
-        hedge: vec![false; (nx - 1) * ny],
-        vedge: vec![false; nx * (ny - 1)],
-    };
-    if index.is_empty() {
-        return mask;
-    }
-    let window = Rect::new(xs[0], ys[0], xs[nx - 1], ys[ny - 1]).inflated((w + s2 + 1) / 2);
-    for id in index.query(window) {
-        mark(&mut mask, xs, ys, phys(index.rect(id)), w, s2);
-    }
-    mask
 }
 
 fn build_grid(
@@ -529,29 +541,26 @@ fn build_grid(
     height: i64,
 ) -> Result<Grid, RouteError> {
     let pitch = problem.options.grid_pitch;
-    let mut xlo = i64::MAX;
-    let mut xhi = i64::MIN;
-    let mut wmax: i64 = 2;
-    let mut required = Vec::new();
-    for t in problem.bottom.iter().chain(&problem.top) {
-        xlo = xlo.min(t.offset);
-        xhi = xhi.max(t.offset);
-        wmax = wmax.max(t.width);
-        required.push(t.offset);
-    }
+    let offsets = || problem.bottom.iter().chain(&problem.top).map(|t| t.offset);
+    let wmax = problem
+        .bottom
+        .iter()
+        .chain(&problem.top)
+        .fold(2, |w, t| w.max(t.width));
+    let (xlo, xhi) = (offsets().min().unwrap_or(0), offsets().max().unwrap_or(0));
     let slack = X_SLACK + wmax;
-    let xs = axis(xlo - slack, xhi + slack, pitch, required);
+    let xs = axis(xlo - slack, xhi + slack, pitch, offsets());
     let ys = axis(0, height.max(1), pitch, [0, height.max(1)]);
     let (nx, ny) = (xs.len(), ys.len());
 
     // Per-layer obstacle indexes (the rasterizer queries these).
-    let mut per_layer: Vec<Vec<Rect>> = vec![Vec::new(); Layer::ROUTABLE.len()];
-    for &(layer, rect) in obstacles {
-        if let Some(i) = Layer::ROUTABLE.iter().position(|&l| l == layer) {
-            per_layer[i].push(rect);
-        }
-    }
-    let indexes: Vec<SpatialIndex> = per_layer.iter().map(|r| SpatialIndex::build(r)).collect();
+    let indexes: Vec<SpatialIndex> = Layer::ROUTABLE
+        .iter()
+        .map(|&l| {
+            let rects: Vec<Rect> = obstacles.iter().filter(|o| o.0 == l).map(|o| o.1).collect();
+            SpatialIndex::build(&rects)
+        })
+        .collect();
 
     // Every (layer, width) combination any net can occupy, plus the
     // `(layer, 4)` keys the via-pad checks read (a 4λ pad's half-extent
@@ -559,10 +568,7 @@ fn build_grid(
     // wire). Rasterization is the serial prologue to the parallel plan
     // phase, so the handful of independent masks build on the worker
     // pool too.
-    let mut keys: Vec<(usize, i64)> = Vec::new();
-    for li in 0..Layer::ROUTABLE.len() {
-        keys.push((li, 4));
-    }
+    let mut keys: Vec<(usize, i64)> = (0..Layer::ROUTABLE.len()).map(|li| (li, 4)).collect();
     for (b, t) in problem.bottom.iter().zip(&problem.top) {
         let w = b.width.max(t.width);
         for li in 0..Layer::ROUTABLE.len() {
@@ -572,9 +578,15 @@ fn build_grid(
             }
         }
     }
+    let window = Rect::new(xs[0], ys[0], xs[nx - 1], ys[ny - 1]);
     let built = par::map_heavy(&keys, |&(li, w)| {
         let s2 = 2 * spacing_lambda(layer_of(li));
-        rasterize(&indexes[li], &xs, &ys, w, s2)
+        let mut mask = Mask::new(nx, ny, true, true);
+        for id in indexes[li].query(window.inflated((w + s2 + 1) / 2)) {
+            let r = phys(indexes[li].rect(id));
+            cover(&mut mask, &xs, &ys, r, w, s2, |b| *b = true);
+        }
+        mask
     });
     let masks = keys.into_iter().zip(built).collect();
 
@@ -587,31 +599,20 @@ fn build_grid(
     let stub_len = (wmax_eff + 7).min(h);
     let mut stubs: Vec<Stub> = Vec::new();
     for (i, (b, t)) in problem.bottom.iter().zip(&problem.top).enumerate() {
-        let w = b.width.max(t.width);
-        stubs.push(Stub {
-            x: b.offset,
-            w: eff_width(w, b.layer),
-            layer: layer_idx(b.layer),
+        let stub = |x: i64, layer: Layer, y0: i64, y1: i64| Stub {
+            x,
+            rect: phys(Rect::new(x, y0, x, y1)).inflated(eff_width(b.width.max(t.width), layer)),
+            layer: layer_idx(layer),
             owner: i,
-            y0: 0,
-            y1: stub_len,
-        });
-        stubs.push(Stub {
-            x: t.offset,
-            w: eff_width(w, t.layer),
-            layer: layer_idx(t.layer),
-            owner: i,
-            y0: (h - stub_len).max(0),
-            y1: h,
-        });
+        };
+        stubs.push(stub(b.offset, b.layer, 0, stub_len));
+        stubs.push(stub(t.offset, t.layer, (h - stub_len).max(0), h));
     }
     stubs.sort_unstable_by_key(|st| st.x);
 
     Ok(Grid {
         xs,
         ys,
-        nx,
-        ny,
         height: h,
         masks,
         stubs,
@@ -629,17 +630,21 @@ const DIR_VIA: u8 = 3;
 
 /// Routes one net: a windowed A* around the net's own terminal span
 /// first (small state, cache-resident under parallel planning), then a
-/// deterministic full-channel retry if the window has no path.
-fn route_net(grid: &Grid, spec: &Spec) -> Result<(Vec<(usize, Point)>, u64), RouteError> {
-    let (lo_x, hi_x) = {
-        let (a, b) = (grid.xs[spec.bxi], grid.xs[spec.txi]);
-        (a.min(b) - X_WINDOW, a.max(b) + X_WINDOW)
-    };
-    let clo = grid.xs.partition_point(|&x| x < lo_x);
-    let chi = grid.xs.partition_point(|&x| x <= hi_x).saturating_sub(1);
-    match astar(grid, spec, clo, chi) {
+/// deterministic full-channel retry if the window has no path. With
+/// `cong`, moves also pay its congestion prices.
+fn route_net(
+    grid: &Grid,
+    spec: &Spec,
+    cong: Option<&Congestion>,
+) -> Result<(Vec<(usize, Point)>, u64), RouteError> {
+    let (a, b) = (grid.xs[spec.bxi], grid.xs[spec.txi]);
+    let clo = grid.xs.partition_point(|&x| x < a.min(b) - X_WINDOW);
+    let chi = grid.xs.partition_point(|&x| x <= a.max(b) + X_WINDOW) - 1;
+    match astar(grid, spec, clo, chi, cong) {
         Ok(r) => Ok(r),
-        Err(_) if clo > 0 || chi < grid.nx - 1 => astar(grid, spec, 0, grid.nx - 1),
+        Err(_) if clo > 0 || chi + 1 < grid.xs.len() => {
+            astar(grid, spec, 0, grid.xs.len() - 1, cong)
+        }
         Err(e) => Err(e),
     }
 }
@@ -648,26 +653,24 @@ fn route_net(grid: &Grid, spec: &Spec) -> Result<(Vec<(usize, Point)>, u64), Rou
 /// columns `clo..=chi`. Returns the `(layer, point)` node sequence from
 /// the bottom terminal to the top terminal plus the number of
 /// expansions, or [`RouteError::Unroutable`] when no path exists
-/// inside the window.
+/// inside the window. Obstacles and other nets' terminal keep-outs
+/// block; other nets' wires, under negotiation, only cost.
 fn astar(
     grid: &Grid,
     spec: &Spec,
     clo: usize,
     chi: usize,
+    cong: Option<&Congestion>,
 ) -> Result<(Vec<(usize, Point)>, u64), RouteError> {
-    let (nx, ny) = (grid.nx, grid.ny);
+    let (nx, ny) = (grid.xs.len(), grid.ys.len());
     let wnx = chi - clo + 1;
     let nodes = wnx * ny;
     let states = Layer::ROUTABLE.len() * nodes;
     let unroutable = RouteError::Unroutable { net: spec.net };
 
-    let wof = |li: usize| eff_width(spec.width, layer_of(li));
-    let wmasks: Vec<&Mask> = (0..Layer::ROUTABLE.len())
-        .map(|li| grid.mask(li, wof(li)))
-        .collect();
-    let vmasks: Vec<&Mask> = (0..Layer::ROUTABLE.len())
-        .map(|li| grid.mask(li, 4))
-        .collect();
+    let (wkeys, vkeys) = grid.keys(spec);
+    let wmasks = wkeys.map(|k| &grid.masks[k].1);
+    let vmasks = vkeys.map(|k| &grid.masks[k].1);
 
     let start = spec.blayer * nodes + (spec.bxi - clo);
     let goal = spec.tlayer * nodes + (ny - 1) * wnx + (spec.txi - clo);
@@ -714,64 +717,52 @@ fn astar(
         let gn = yj * nx + xi;
         let mask = wmasks[li];
         let din = dir[state];
-        let bend = move |d: u8| -> u64 {
-            if din != DIR_NONE && din != DIR_VIA && d != din {
-                COST_BEND
-            } else {
-                0
+        let bend = |d: u8| COST_BEND * u64::from(din != DIR_NONE && din != DIR_VIA && d != din);
+        let mut relax = |next: usize, cost: u64, d: u8| {
+            let t = g[state] + cost;
+            if t < g[next] {
+                g[next] = t;
+                came[next] = state as u32;
+                dir[next] = d;
+                heap.push(Reverse((t + h(next), next as u32)));
             }
         };
-
-        let mut relax =
-            |next: usize, cost: u64, d: u8, heap: &mut BinaryHeap<Reverse<(u64, u32)>>| {
-                let t = g[state] + cost;
-                if t < g[next] {
-                    g[next] = t;
-                    came[next] = state as u32;
-                    dir[next] = d;
-                    heap.push(Reverse((t + h(next), next as u32)));
-                }
-            };
 
         // Axis moves: blocked edges carry the full span between
         // columns, and the swept wire rect (half-lambda frame) must
         // clear other nets' terminal keep-outs.
-        let (x, y) = (grid.xs[xi], grid.ys[yj]);
-        let w = wof(li);
-        if ci + 1 < wnx && !mask.hedge[yj * (nx - 1) + xi] {
-            let swept = Rect::new(2 * x - w, 2 * y - w, 2 * grid.xs[xi + 1] + w, 2 * y + w);
-            if !grid.stub_blocked(spec.net, li, swept) {
-                let cost = (grid.xs[xi + 1] - x) as u64 * COST_STEP + bend(DIR_X);
-                relax(state + 1, cost, DIR_X, &mut heap);
+        let p = Point::new(grid.xs[xi], grid.ys[yj]);
+        let he = yj * (nx - 1) + xi;
+        for (d, e, xj, yk, next) in [
+            (ci + 1 < wnx).then(|| (DIR_X, he, xi + 1, yj, state + 1)),
+            (ci > 0).then(|| (DIR_X, he - 1, xi - 1, yj, state - 1)),
+            (yj + 1 < ny).then(|| (DIR_Y, gn, xi, yj + 1, state + wnx)),
+            (yj > 0).then(|| (DIR_Y, gn - nx, xi, yj - 1, state - wnx)),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            let horizontal = d == DIR_X;
+            let q = Point::new(grid.xs[xj], grid.ys[yk]);
+            let swept = phys(Rect::from_points(p, q)).inflated(eff_width(spec.width, layer_of(li)));
+            if (horizontal && mask.hedge[e])
+                || (!horizontal && mask.vedge[e])
+                || grid.stub_blocked(spec.net, li, swept)
+            {
+                continue;
             }
-        }
-        if ci > 0 && !mask.hedge[yj * (nx - 1) + xi - 1] {
-            let swept = Rect::new(2 * grid.xs[xi - 1] - w, 2 * y - w, 2 * x + w, 2 * y + w);
-            if !grid.stub_blocked(spec.net, li, swept) {
-                let cost = (x - grid.xs[xi - 1]) as u64 * COST_STEP + bend(DIR_X);
-                relax(state - 1, cost, DIR_X, &mut heap);
-            }
-        }
-        if yj + 1 < ny && !mask.vedge[yj * nx + xi] {
-            let swept = Rect::new(2 * x - w, 2 * y - w, 2 * x + w, 2 * grid.ys[yj + 1] + w);
-            if !grid.stub_blocked(spec.net, li, swept) {
-                let cost = (grid.ys[yj + 1] - y) as u64 * COST_STEP + bend(DIR_Y);
-                relax(state + wnx, cost, DIR_Y, &mut heap);
-            }
-        }
-        if yj > 0 && !mask.vedge[(yj - 1) * nx + xi] {
-            let swept = Rect::new(2 * x - w, 2 * grid.ys[yj - 1] - w, 2 * x + w, 2 * y + w);
-            if !grid.stub_blocked(spec.net, li, swept) {
-                let cost = (y - grid.ys[yj - 1]) as u64 * COST_STEP + bend(DIR_Y);
-                relax(state - wnx, cost, DIR_Y, &mut heap);
-            }
+            let load = |l: &Planes<Load>| if horizontal { l.hedge[e] } else { l.vedge[e] };
+            let cost = (q.x - p.x + q.y - p.y).unsigned_abs() * COST_STEP
+                + bend(d)
+                + toll(cong, wkeys[li], load);
+            relax(next, cost, d);
         }
 
         // Layer change: the 4λ landing pads must clear obstacles and
         // keep-outs on both layers and fit inside the channel.
-        let pad = Rect::new(2 * x - 4, 2 * y - 4, 2 * x + 4, 2 * y + 4);
-        if y >= 2
-            && y <= grid.height - 2
+        let pad = phys(Rect::from_center(p, 0, 0)).inflated(4);
+        if p.y >= 2
+            && p.y <= grid.height - 2
             && !vmasks[li].node[gn]
             && !grid.stub_blocked(spec.net, li, pad)
         {
@@ -781,7 +772,10 @@ fn astar(
                     && !wmasks[l2].node[gn]
                     && !grid.stub_blocked(spec.net, l2, pad)
                 {
-                    relax(l2 * nodes + n, COST_VIA, DIR_VIA, &mut heap);
+                    let cost = COST_VIA
+                        + toll(cong, vkeys[li], |p| p.node[gn])
+                        + toll(cong, vkeys[l2], |p| p.node[gn]);
+                    relax(l2 * nodes + n, cost, DIR_VIA);
                 }
             }
         }
@@ -805,59 +799,35 @@ fn astar(
     Ok((path, expansions))
 }
 
-/// Converts a node sequence to segments + vias, compressing collinear
-/// runs.
+/// Converts a node sequence to segments + vias ([`Path`] merges the
+/// collinear runs).
 fn wire_from_path(spec: &Spec, path: &[(usize, Point)]) -> Result<GridWire, RouteError> {
-    let internal = |context| RouteError::Internal { context };
+    let degenerate = RouteError::Internal {
+        context: "degenerate grid path",
+    };
     let mut segments: Vec<(Layer, i64, Path)> = Vec::new();
     let mut vias: Vec<GridVia> = Vec::new();
-    let mut run: Vec<Point> = Vec::new();
-    let mut run_layer = path.first().ok_or(internal("empty grid path"))?.0;
-
-    let flush = |run: &mut Vec<Point>,
-                 layer: usize,
-                 segments: &mut Vec<(Layer, i64, Path)>|
-     -> Result<(), RouteError> {
-        let mut pts: Vec<Point> = Vec::new();
-        for &p in run.iter() {
-            // Drop interior collinear points.
-            while pts.len() >= 2 {
-                let a = pts[pts.len() - 2];
-                let b = pts[pts.len() - 1];
-                if (a.x == b.x && b.x == p.x) || (a.y == b.y && b.y == p.y) {
-                    pts.pop();
-                } else {
-                    break;
-                }
-            }
-            pts.push(p);
-        }
-        let layer = layer_of(layer);
-        let path = Path::from_points(pts).map_err(|_| internal("degenerate grid segment"))?;
-        segments.push((layer, eff_width(spec.width, layer), path));
-        run.clear();
-        Ok(())
-    };
-
     for &(li, p) in path {
-        if li != run_layer {
-            let junction = *run.last().ok_or(internal("via before any wire"))?;
-            if junction != p {
-                return Err(internal("via moved while changing layers"));
+        let layer = layer_of(li);
+        match segments.last_mut() {
+            Some((l, _, run)) if *l == layer => run.push(p).map_err(|_| degenerate.clone())?,
+            last => {
+                if let Some((prev, _, run)) = last {
+                    if run.end() != p {
+                        return Err(degenerate);
+                    }
+                    vias.push(GridVia {
+                        position: p,
+                        kind: via_kind(*prev, layer),
+                    });
+                }
+                segments.push((layer, eff_width(spec.width, layer), Path::new(p)));
             }
-            flush(&mut run, run_layer, &mut segments)?;
-            vias.push(GridVia {
-                position: p,
-                kind: via_kind(layer_of(run_layer), layer_of(li)),
-            });
-            run.push(p);
-            run_layer = li;
-        } else {
-            run.push(p);
         }
     }
-    flush(&mut run, run_layer, &mut segments)?;
-
+    if segments.is_empty() {
+        return Err(degenerate);
+    }
     Ok(GridWire {
         name: spec.name.clone(),
         net: spec.net,
@@ -914,19 +884,15 @@ pub fn grid_route(
         }
         wmax = wmax.max(b.width.max(t.width));
     }
-    let mut layers: Vec<Layer> = bottom.iter().chain(top.iter()).map(|t| t.layer).collect();
-    layers.sort_unstable();
-    layers.dedup();
-    for &layer in &layers {
-        let spacing = spacing_lambda(layer);
-        let edge = |ts: &[crate::Terminal]| {
-            ts.iter()
-                .filter(|t| t.layer == layer)
-                .map(|t| (t.offset, t.width))
-                .collect::<Vec<_>>()
-        };
-        check_edge_spacing(layer, spacing, edge(bottom))?;
-        check_edge_spacing(layer, spacing, edge(top))?;
+    for layer in Layer::ALL {
+        for edge in [bottom, top] {
+            let ts = edge.iter().filter(|t| t.layer == layer);
+            check_edge_spacing(
+                layer,
+                spacing_lambda(layer),
+                ts.map(|t| (t.offset, t.width)),
+            )?;
+        }
     }
 
     let heights: Vec<i64> = match options.exact_height {
@@ -965,13 +931,18 @@ pub fn grid_route(
     Err(last_err)
 }
 
-/// One plan/commit pass at a fixed channel height.
+/// One plan → negotiate solve at a fixed channel height.
 fn solve_at(
     problem: &RouteProblem,
     obstacles: &[(Layer, Rect)],
     height: i64,
 ) -> Result<GridRoute, RouteError> {
     let grid = build_grid(problem, obstacles, height)?;
+    let col = |x: i64| {
+        grid.xs
+            .binary_search(&x)
+            .expect("terminal columns are grid lines")
+    };
     let specs: Vec<Spec> = problem
         .bottom
         .iter()
@@ -983,104 +954,107 @@ fn solve_at(
             width: b.width.max(t.width),
             blayer: layer_idx(b.layer),
             tlayer: layer_idx(t.layer),
-            bxi: grid
-                .xs
-                .binary_search(&b.offset)
-                .expect("terminal columns are grid lines"),
-            txi: grid
-                .xs
-                .binary_search(&t.offset)
-                .expect("terminal columns are grid lines"),
+            bxi: col(b.offset),
+            txi: col(t.offset),
         })
         .collect();
 
     // Plan: every net solves concurrently against the frozen
     // obstacle-only grid. Results are positional, so the outcome is
-    // identical at any thread count.
-    let plans = par::map_heavy(&specs, |spec| route_net(&grid, spec));
-    let mut paths: Vec<Vec<(usize, Point)>> = Vec::with_capacity(specs.len());
-    let mut plan_expansions: Vec<u64> = Vec::with_capacity(specs.len());
-    for plan in plans {
-        let (path, expansions) = plan?;
+    // identical at any thread count. The lowest failing net decides a
+    // failed height, so once a net fails, every later net skips its
+    // search; nets below it still run, and the error is the same. The
+    // flag publishes no data, and `map_heavy`'s join orders the reads
+    // below after every write, so `Relaxed` suffices.
+    let failed = AtomicUsize::new(usize::MAX);
+    let plans = par::map_heavy(&specs, |spec| {
+        if failed.load(Ordering::Relaxed) < spec.net {
+            return None;
+        }
+        let plan = route_net(&grid, spec, None);
+        if plan.is_err() {
+            failed.fetch_min(spec.net, Ordering::Relaxed);
+        }
+        Some(plan)
+    });
+    let (mut paths, mut wires, mut plan_expansions) = (Vec::new(), Vec::new(), Vec::new());
+    for (spec, plan) in specs.iter().zip(plans) {
+        // A skipped net lies above a failed one, whose error returns first.
+        let net = failed.load(Ordering::Relaxed);
+        let (path, expansions) = plan.unwrap_or(Err(RouteError::Unroutable { net }))?;
         plan_expansions.push(expansions);
+        wires.push(wire_from_path(spec, &path)?);
         paths.push(path);
     }
-
-    // Commit: apply plans in order; a plan that violates spacing
-    // against an earlier commit re-routes alone against the live grid.
-    // When even that re-route fails — independent plans can pile up
-    // and seal a late net's terminal region — the whole commit phase
-    // restarts with the failed net promoted to the front of the order,
-    // so it routes unconstrained and the earlier nets' retries route
-    // around it instead. Promotion is deterministic and bounded by
-    // [`MAX_RESTARTS`].
     let mut stats = GridStats {
         expansions: plan_expansions.iter().sum(),
         ..GridStats::default()
     };
-    let mut promoted: Vec<usize> = Vec::new();
-    let mut first_grid = Some(grid);
-    loop {
-        let grid = match first_grid.take() {
-            Some(g) => g,
-            None => build_grid(problem, obstacles, height)?,
-        };
-        let mut order: Vec<usize> = promoted.clone();
-        order.extend((0..specs.len()).filter(|i| !promoted.contains(i)));
-        match commit_pass(grid, &specs, &paths, &order, &mut stats) {
-            Ok(mut wires) => {
-                wires.sort_by_key(|w| w.net);
-                stats.vias = wires.iter().map(|w| w.vias.len() as u64).sum();
-                return Ok(GridRoute {
-                    wires,
-                    height: height.max(1),
-                    stats,
-                    plan_expansions,
-                });
-            }
-            Err(RouteError::Unroutable { net }) if stats.restarts < MAX_RESTARTS => {
-                stats.restarts += 1;
-                promoted.retain(|&i| i != net);
-                promoted.insert(0, net);
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    negotiate(&grid, &specs, &mut paths, &mut wires, &mut stats)?;
+    stats.vias = wires.iter().map(|w| w.vias.len() as u64).sum();
+    Ok(GridRoute {
+        wires,
+        height: height.max(1),
+        stats,
+        plan_expansions,
+    })
 }
 
-/// One serial commit pass over `order`: applies each net's plan,
-/// re-routing a net alone when its plan conflicts with earlier
-/// commits. Every committed rect is marked into the (exclusively
-/// owned) grid as it lands, so a re-route sees obstacles plus all
-/// earlier geometry without rebuilding anything. Returns the wires in
-/// commit order, or the error of the first net that cannot be placed.
-fn commit_pass(
-    mut grid: Grid,
+/// Resolves spacing conflicts between planned wires. Spacing-clean
+/// plans are the route as they stand (one sweep, no occupancy
+/// allocated). Otherwise each round rips up the conflicting nets in
+/// net order and re-routes each against the others' current wires at
+/// their congestion price; the round's spacing check runs on the exact
+/// rects. Fails with the lowest still-conflicting net once
+/// [`MAX_ROUNDS`] rounds have not cleared every conflict.
+fn negotiate(
+    grid: &Grid,
     specs: &[Spec],
-    paths: &[Vec<(usize, Point)>],
-    order: &[usize],
+    paths: &mut [Vec<(usize, Point)>],
+    wires: &mut [GridWire],
     stats: &mut GridStats,
-) -> Result<Vec<GridWire>, RouteError> {
-    let mut committed: Vec<(Layer, Rect)> = Vec::new();
-    let mut wires: Vec<GridWire> = Vec::with_capacity(order.len());
-    for &i in order {
-        let spec = &specs[i];
-        let mut wire = wire_from_path(spec, &paths[i])?;
-        if rect_sets_conflict(&wire.rects(), &committed).is_some() {
-            stats.conflicts += 1;
-            stats.retries += 1;
-            let (path, expansions) = route_net(&grid, spec)?;
-            stats.expansions += expansions;
-            wire = wire_from_path(spec, &path)?;
-        }
-        let rects = wire.rects();
-        for &(layer, rect) in &rects {
-            grid.commit_rect(layer, rect);
-        }
-        committed.extend(rects);
-        wires.push(wire);
+) -> Result<(), RouteError> {
+    let mut rects: Vec<Vec<(Layer, Rect)>> = wires.iter().map(GridWire::rects).collect();
+    let mut conflicts = contested(&rects);
+    if conflicts.is_empty() {
+        return Ok(());
     }
-    Ok(wires)
+    // Searches read wire moves from edges and via pads from nodes, so
+    // each load plane set holds only what its mask key is used for.
+    let (nx, ny) = (grid.xs.len(), grid.ys.len());
+    let loads = grid.masks.iter().map(|&((li, w), _)| {
+        let wire = specs.iter().any(|s| eff_width(s.width, layer_of(li)) == w);
+        Planes::new(nx, ny, w == 4, wire)
+    });
+    let mut cong = Congestion {
+        loads: loads.collect(),
+        pres: PRES_START,
+    };
+    for net in &rects {
+        cong.visit(grid, net, |c| c.occ = c.occ.saturating_add(1));
+    }
+    while stats.restarts < MAX_ROUNDS {
+        stats.restarts += 1;
+        stats.conflicts += conflicts.len() as u64;
+        for &i in &conflicts {
+            // Rip up, and remember where the net collided with others.
+            cong.visit(grid, &rects[i], |c| c.occ = c.occ.saturating_sub(1));
+            cong.remember(grid, &specs[i], &paths[i]);
+            let (path, expansions) = route_net(grid, &specs[i], Some(&cong))?;
+            stats.retries += 1;
+            stats.expansions += expansions;
+            wires[i] = wire_from_path(&specs[i], &path)?;
+            rects[i] = wires[i].rects();
+            paths[i] = path;
+            cong.visit(grid, &rects[i], |c| c.occ = c.occ.saturating_add(1));
+        }
+        conflicts = contested(&rects);
+        if conflicts.is_empty() {
+            return Ok(());
+        }
+        cong.pres = (cong.pres * 2).min(PRES_MAX);
+    }
+    Err(RouteError::Unroutable { net: conflicts[0] })
 }
 
 #[cfg(test)]
@@ -1257,19 +1231,41 @@ mod tests {
     }
 
     #[test]
-    fn route_cell_is_valid_sticks_with_contacts() {
-        let p = RouteProblem::new(
-            vec![t("a", 0, Layer::Poly), t("b", 10, Layer::Diffusion)],
-            vec![t("a", 0, Layer::Metal), t("b", 10, Layer::Metal)],
-        );
-        let r = grid_route(&p, &[]).unwrap();
-        let cell = r.to_sticks_cell("g0");
-        cell.validate().unwrap();
-        assert!(cell.contacts().len() >= 2);
-        let cif = riot_sticks::mask::to_cif_cell(&cell, 1);
-        assert!(cif.shapes.len() >= 4);
-        // Pins keep net names, primes on collision.
-        assert!(cell.pin("a").is_some());
-        assert!(cell.pin("a'").is_some());
+    fn jointly_unroutable_channel_fails_within_the_round_cap() {
+        // Two metal nets that swap sides, with poly and diffusion walled
+        // off so neither can hop layers: each routes alone, but jointly
+        // they must cross on metal, so negotiation runs out of rounds.
+        let walls = [Layer::Diffusion, Layer::Poly].map(|l| (l, Rect::new(-50, -10, 50, 40)));
+        let net = |name, x0, x1| (t(name, x0, Layer::Metal), t(name, x1, Layer::Metal));
+        let route = |nets: Vec<(Terminal, Terminal)>| {
+            let (bottom, top): (Vec<_>, Vec<_>) = nets.into_iter().unzip();
+            let exact = RouterOptions {
+                exact_height: Some(30),
+                ..RouterOptions::new()
+            };
+            grid_route(&RouteProblem::new(bottom, top).with_options(exact), &walls)
+        };
+        assert!(route(vec![net("a", 0, 12)]).is_ok());
+        assert!(route(vec![net("b", 12, 0)]).is_ok());
+        let both = route(vec![net("a", 0, 12), net("b", 12, 0)]);
+        assert_eq!(both.unwrap_err(), RouteError::Unroutable { net: 0 });
+    }
+
+    #[test]
+    fn verify_clearance_rejects_overlapping_wires() {
+        let p = RouteProblem::new(vec![t("a", 0, Layer::Metal)], vec![t("a", 0, Layer::Metal)]);
+        let mut r = grid_route(&p, &[]).unwrap();
+        let twin = GridWire {
+            name: "b".into(),
+            net: 1,
+            ..r.wires[0].clone()
+        };
+        r.wires.push(twin);
+        let err = verify_clearance(&r, &[]).unwrap_err();
+        assert!(err.starts_with("nets a and b violate"), "{err}");
+        r.wires.pop();
+        let block = [(Layer::Metal, Rect::new(-1, 5, 1, 6))];
+        let err = verify_clearance(&r, &block).unwrap_err();
+        assert!(err.starts_with("net a violates"), "{err}");
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::error::RouteError;
 use crate::terminal::Terminal;
-use riot_geom::{Path, Point, Rect, Side};
+use riot_geom::{Layer, Path, Point, Rect, Side};
 use riot_sticks::{Pin, SticksCell, SymWire};
 use std::collections::HashSet;
 
@@ -83,22 +83,8 @@ pub fn straight_route(
     let mut cell = SticksCell::new(name, bbox);
     let mut used = HashSet::new();
     for t in terminals {
-        let bottom = unique_pin_name(&t.name, &mut used);
-        let top = unique_pin_name(&t.name, &mut used);
-        cell.push_pin(Pin {
-            name: bottom,
-            side: Side::Bottom,
-            layer: t.layer,
-            position: Point::new(t.offset, 0),
-            width: t.width,
-        });
-        cell.push_pin(Pin {
-            name: top,
-            side: Side::Top,
-            layer: t.layer,
-            position: Point::new(t.offset, length),
-            width: t.width,
-        });
+        let pin = |y| (t.layer, Point::new(t.offset, y), t.width);
+        push_pin_pair(&mut cell, &mut used, &t.name, [pin(0), pin(length)]);
         cell.push_wire(SymWire {
             layer: t.layer,
             width: t.width,
@@ -119,6 +105,26 @@ pub(crate) fn unique_pin_name(base: &str, used: &mut HashSet<String>) -> String 
         name.push('\'');
     }
     name
+}
+
+/// Adds a net's two pins to `cell`, `[bottom, top]` as `(layer,
+/// position, width)`, named by [`unique_pin_name`] in that order.
+pub(crate) fn push_pin_pair(
+    cell: &mut SticksCell,
+    used: &mut HashSet<String>,
+    net: &str,
+    [bottom, top]: [(Layer, Point, i64); 2],
+) {
+    for (side, (layer, position, width)) in [(Side::Bottom, bottom), (Side::Top, top)] {
+        let name = unique_pin_name(net, used);
+        cell.push_pin(Pin {
+            name,
+            side,
+            layer,
+            position,
+            width,
+        });
+    }
 }
 
 #[cfg(test)]

@@ -1189,7 +1189,9 @@ mod tests {
         read_frame_into(&mut r, &mut scratch).unwrap();
         assert_eq!(scratch, b"mid-sized one");
         assert_eq!(scratch.capacity(), cap, "no reallocation");
-        assert_eq!(reuse.get() - before, 2, "two reused decodes counted");
+        // The counter is process-global and other tests in this binary
+        // decode frames concurrently, so only a lower bound is exact.
+        assert!(reuse.get() - before >= 2, "two reused decodes counted");
         assert!(matches!(
             read_frame_into(&mut r, &mut scratch),
             Err(ProtoError::Closed)

@@ -192,6 +192,15 @@ macro_rules! span {
     }};
 }
 
+/// Serializes the unit tests that flip the process-global enable flag:
+/// one test's spans must not land in another's disabled window.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that failed while holding the lock guards no data.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +222,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _g = test_lock();
         enable(false);
         let before = recorder().snapshot().len();
         {

@@ -5,6 +5,8 @@
 //! planner thread count.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use riot::drc::RuleSet;
 use riot::geom::{par, Layer, Rect};
 use riot::route::{grid, grid_route, river_route, GridRoute, RouteProblem, Terminal};
@@ -129,4 +131,64 @@ fn crossing_layer_pair_defeats_river_but_grid_routes() {
         v.is_empty(),
         "crossing-pair route has DRC violations: {v:?}"
     );
+}
+
+/// A single-layer, order-preserving channel from per-net (bottom gap,
+/// top gap) picks on `layer`: river-routable whenever the river router
+/// accepts its spacing.
+fn river_channel(layer: Layer, gaps: &[(i64, i64)], shift: i64) -> RouteProblem {
+    let w = width_for(layer);
+    let (mut xb, mut xt) = (0, shift);
+    let (mut bottom, mut top) = (Vec::new(), Vec::new());
+    for (i, &(gb, gt)) in gaps.iter().enumerate() {
+        xb += 6 + gb;
+        xt += 6 + gt;
+        bottom.push(Terminal::new(format!("n{i}"), xb, layer, w));
+        top.push(Terminal::new(format!("n{i}"), xt, layer, w));
+    }
+    RouteProblem::new(bottom, top)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Completeness against the river router: every small single-layer
+    /// channel the river router solves, the grid router solves too, and
+    /// its route clears spacing and passes mask DRC.
+    #[test]
+    fn river_routable_channels_grid_route_clean(
+        layer in 0u8..3,
+        gaps in prop::collection::vec((0i64..8, 0i64..8), 1..7),
+        shift in -16i64..17,
+    ) {
+        let problem = river_channel(Layer::ROUTABLE[layer as usize], &gaps, shift);
+        prop_assume!(river_route(&problem).is_ok());
+        let route = grid_route(&problem, &[]).expect("river-routable channel grid-routes");
+        grid::verify_clearance(&route, &[]).map_err(TestCaseError::fail)?;
+        let v = drc_violations(&route);
+        prop_assert!(v.is_empty(), "grid route has DRC violations: {v:?}");
+    }
+}
+
+/// `riot_bench::route_problem(n, 20, 7)`, the benchmark's congested
+/// all-metal channel family (rebuilt here: the benchmark crate depends
+/// on this one).
+fn congested_channel(n: usize) -> RouteProblem {
+    let mut rng = StdRng::seed_from_u64(7);
+    let gaps: Vec<(i64, i64)> = (0..n)
+        .map(|_| (rng.gen_range(0..8), rng.gen_range(0..8)))
+        .collect();
+    river_channel(Layer::Metal, &gaps, 20)
+}
+
+#[test]
+fn congested_288_net_channel_routes_clean() {
+    // The 288-net channel of the benchmark's congested family, which
+    // ended `Unroutable` before the nets negotiated congestion.
+    let problem = congested_channel(288);
+    let route = grid_route(&problem, &[]).expect("288-net congested channel routes");
+    assert_eq!(route.wires().len(), 288);
+    grid::verify_clearance(&route, &[]).expect("clearance");
+    let v = drc_violations(&route);
+    assert!(v.is_empty(), "288-net route has DRC violations: {v:?}");
 }

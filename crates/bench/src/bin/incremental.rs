@@ -307,12 +307,19 @@ fn main() {
         );
     }
 
+    // The filesystem of the directory the report is written to.
+    let out_dir = std::path::Path::new(&args.out)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(std::path::Path::new("."));
     let json = format!(
-        "{{\n  \"schema\": \"riot-bench-incremental/1\",\n  \"leaf_shapes\": {},\n  \"grid\": {},\n  \"flat_shapes\": {},\n  \"iters\": {},\n  \"state_build_ns\": {},\n  \"dirty_rects\": {},\n  \"patched_pairs\": {},\n  \"full\": {{ \"flatten_ns\": {}, \"drc_ns\": {}, \"render_ns\": {}, \"total_ns\": {} }},\n  \"incremental\": {{ \"flatten_ns\": {}, \"drc_ns\": {}, \"render_ns\": {}, \"total_ns\": {}, \"full_rebuilds\": {} }},\n  \"speedup\": {:.2}\n}}\n",
+        "{{\n  \"schema\": \"riot-bench-incremental/1\",\n  \"leaf_shapes\": {},\n  \"grid\": {},\n  \"flat_shapes\": {},\n  \"iters\": {},\n  \"host_cpus\": {},\n  \"filesystem\": \"{}\",\n  \"state_build_ns\": {},\n  \"dirty_rects\": {},\n  \"patched_pairs\": {},\n  \"full\": {{ \"flatten_ns\": {}, \"drc_ns\": {}, \"render_ns\": {}, \"total_ns\": {} }},\n  \"incremental\": {{ \"flatten_ns\": {}, \"drc_ns\": {}, \"render_ns\": {}, \"total_ns\": {}, \"full_rebuilds\": {} }},\n  \"speedup\": {:.2}\n}}\n",
         args.leaf_shapes,
         args.grid,
         n,
         args.iters,
+        riot_bench::host_cpus(),
+        riot_bench::host_filesystem(out_dir),
         build_ns,
         dirty_rects,
         patched_pairs,

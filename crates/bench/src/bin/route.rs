@@ -144,7 +144,7 @@ fn bench_grid(args: &Args) -> String {
     par::set_threads(0);
     let wall_speedup = serial_ns as f64 / parallel_ns as f64;
     let nets_per_sec = args.nets as f64 / (serial_ns.min(parallel_ns) as f64 / 1e9);
-    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_cpus = riot_bench::host_cpus();
     let stats = route.stats();
     eprintln!(
         "grid: {} nets, {} obstacles, serial {:.2} ms, parallel {:.2} ms (host has {} cpus), \

@@ -12,6 +12,34 @@ use rand::{Rng, SeedableRng};
 use riot::geom::{Layer, Rect};
 use riot::route::{RouteProblem, RouterOptions, Terminal};
 
+/// CPUs this process may run on.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// The type of the filesystem holding `path` (the longest mount point
+/// in `/proc/self/mounts` that contains it), or `"unknown"` where that
+/// table cannot be read.
+pub fn host_filesystem(path: &std::path::Path) -> String {
+    let path = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
+    let Ok(mounts) = std::fs::read_to_string("/proc/self/mounts") else {
+        return "unknown".into();
+    };
+    let mut best: Option<(usize, &str)> = None;
+    for line in mounts.lines() {
+        let mut fields = line.split_whitespace();
+        let (Some(_), Some(point), Some(kind)) = (fields.next(), fields.next(), fields.next())
+        else {
+            continue;
+        };
+        let point = point.replace("\\040", " ");
+        if path.starts_with(&point) && best.is_none_or(|(len, _)| point.len() >= len) {
+            best = Some((point.len(), kind));
+        }
+    }
+    best.map_or("unknown", |(_, kind)| kind).to_string()
+}
+
 /// A deterministic RNG for workload generation.
 pub fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)

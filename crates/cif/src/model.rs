@@ -24,7 +24,7 @@ pub struct CifConnector {
 }
 
 /// One piece of painted geometry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Geometry {
     /// An axis-aligned box (CIF `B`, after direction resolution).
     Box(Rect),

@@ -133,6 +133,19 @@ fn arb_extreme_soup() -> impl Strategy<Value = Vec<FlatShape>> {
     })
 }
 
+/// A coordinate for an edited shape. Most land inside the soups'
+/// 60λ square; one in eight lands far outside it, and one in eight at
+/// negative coordinates, so the retained state's grids see geometry
+/// well beyond the bounds they were built for.
+fn edit_coord(next: &mut impl FnMut() -> u64) -> i64 {
+    let step = (next() % 60) as i64;
+    match next() % 8 {
+        0 => (10_000 + step * 97) * LAMBDA,
+        1 => -(step + 1) * 131 * LAMBDA,
+        _ => step * LAMBDA,
+    }
+}
+
 /// Applies a derived random edit to `shapes` and returns the dirty
 /// rects covering it: a removal, an addition, or a move (replace a
 /// shape with a fresh box elsewhere). The dirty list always covers the
@@ -140,10 +153,10 @@ fn arb_extreme_soup() -> impl Strategy<Value = Vec<FlatShape>> {
 fn apply_edit(shapes: &mut Vec<FlatShape>, next: &mut impl FnMut() -> u64) -> Vec<Rect> {
     let op = next() % 3;
     if shapes.is_empty() || op == 0 {
-        // Addition.
+        // Addition, possibly on a layer the soup does not use yet.
         let layer = LAYERS[(next() % 4) as usize];
-        let x = (next() % 60) as i64 * LAMBDA;
-        let y = (next() % 60) as i64 * LAMBDA;
+        let x = edit_coord(next);
+        let y = edit_coord(next);
         let w = (next() % 6 + 1) as i64 * LAMBDA;
         let h = (next() % 6 + 1) as i64 * LAMBDA;
         let r = Rect::new(x, y, x + w, y + h);
@@ -163,8 +176,8 @@ fn apply_edit(shapes: &mut Vec<FlatShape>, next: &mut impl FnMut() -> u64) -> Ve
         let idx = (next() as usize) % shapes.len();
         let old = shapes[idx].geometry.bounding_box();
         let layer = shapes[idx].layer;
-        let x = (next() % 60) as i64 * LAMBDA;
-        let y = (next() % 60) as i64 * LAMBDA;
+        let x = edit_coord(next);
+        let y = edit_coord(next);
         let w = (next() % 6 + 1) as i64 * LAMBDA;
         let h = (next() % 6 + 1) as i64 * LAMBDA;
         let r = Rect::new(x, y, x + w, y + h);
@@ -212,14 +225,20 @@ proptest! {
     /// patched through a random edit sequence reports exactly the full
     /// checker's violations after every step — and never needs the
     /// rebuild fallback, because the damage contract is honoured.
+    /// `withheld` names a layer left out of the starting soup (none
+    /// when 4), so that edits can paint it for the first time.
     #[test]
     fn incremental_equals_full_under_edit_sequences(
         shapes in arb_soup(),
         edit_seed in 1u64..50_000,
-        edits in 1usize..8,
+        edits in 1usize..12,
+        withheld in 0usize..5,
     ) {
         let rules = RuleSet::nmos();
         let mut shapes = shapes;
+        if let Some(&layer) = LAYERS.get(withheld) {
+            shapes.retain(|s| s.layer != layer);
+        }
         let mut state = crate::DrcState::build(&shapes, &rules);
         prop_assert_eq!(
             normalized(state.violations()),

@@ -2,13 +2,20 @@
 //!
 //! [`DrcState`] retains everything [`crate::check`] computes — painted
 //! rects per layer, connected-component labels, and the per-pair
-//! spacing representatives — plus the spatial indexes used to compute
-//! them. [`check_incremental`] patches that state from a list of dirty
-//! world rects: only shapes whose bounding boxes touch the damage are
-//! diffed, only components touching removed or added geometry are
-//! re-labeled, and only spacing pairs involving those components are
-//! re-measured. Everything else is carried over untouched, making an
-//! edit cost O(damage), not O(chip).
+//! spacing representatives — plus mutable spatial indexes
+//! ([`BucketGrid`]) over the shapes and over each layer's rects.
+//! [`check_incremental`] patches that state from a list of dirty world
+//! rects: the shape grid finds the old shapes whose bounding boxes
+//! touch the damage, only those are diffed, only components touching
+//! removed or added geometry are re-labeled, and only spacing pairs
+//! involving those components are re-measured. Removed shapes and
+//! rects leave their grids and free their arena slots, which the next
+//! additions reuse, so the arenas stay at the live count and no index
+//! is ever rebuilt.
+//!
+//! One O(n) pass remains per update: the new shape list is scanned
+//! once to count the shapes inside the damage, for the population
+//! check below. Everything else costs O(damage).
 //!
 //! # Contract
 //!
@@ -35,14 +42,8 @@ use crate::{
     axis_gaps, emit_spacing, offer_representative, painted_rects, rect_key, RuleSet, Violation,
 };
 use riot_cif::{FlatShape, Geometry};
-use riot_geom::{index::SpatialIndex, Layer, Rect};
-use std::collections::{BTreeMap, HashMap, HashSet};
-
-/// When this many un-indexed slots accumulate in a layer's overlay,
-/// the layer's spatial index is rebuilt over the whole arena. Keeps
-/// the linear overlay scan bounded while amortizing index builds over
-/// many updates.
-const OVERLAY_REBUILD: usize = 2048;
+use riot_geom::{index::BucketGrid, Layer, Rect};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 type RectKey = (i64, i64, i64, i64);
 
@@ -50,9 +51,10 @@ type RectKey = (i64, i64, i64, i64);
 #[derive(Debug)]
 struct LayerState {
     space: i64,
-    /// Slot arena of painted rects. Grows only; removal tombstones.
-    rects: Vec<Rect>,
-    live: Vec<bool>,
+    /// The painted rects by slot. A removed slot goes on `free` and the
+    /// next addition reuses it.
+    grid: BucketGrid,
+    free: Vec<u32>,
     /// Connected-component label per slot (valid while live).
     label: Vec<u64>,
     /// Live slots per label.
@@ -60,69 +62,101 @@ struct LayerState {
     /// Live slots per exact rect — how a removed shape's rects are
     /// located without scanning.
     by_rect: HashMap<RectKey, Vec<u32>>,
-    /// Index over `rects[..indexed_len]` (dead slots included in the
-    /// index and filtered by `live` at query time).
-    index: SpatialIndex,
-    indexed_len: usize,
-    /// Live slots not yet in the index, scanned linearly.
-    overlay: Vec<u32>,
     /// Spacing representative per component pair (labels ordered).
     spacing: HashMap<(u64, u64), (i64, Rect, Rect)>,
 }
 
 impl LayerState {
-    fn new(space: i64) -> LayerState {
+    /// A layer holding no rects yet, indexed by `grid` (empty).
+    fn empty(space: i64, grid: BucketGrid) -> LayerState {
         LayerState {
             space,
-            rects: Vec::new(),
-            live: Vec::new(),
+            grid,
+            free: Vec::new(),
             label: Vec::new(),
             members: HashMap::new(),
             by_rect: HashMap::new(),
-            index: SpatialIndex::build(&[]),
-            indexed_len: 0,
-            overlay: Vec::new(),
             spacing: HashMap::new(),
         }
     }
 
-    /// Live slots whose axis gap to `window` is at most `dist` on both
-    /// axes, from the index plus the overlay.
-    fn neighbors(&self, window: Rect, dist: i64, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(
-            self.index
-                .within(window, dist)
-                .filter(|&id| self.live[id])
-                .map(|id| id as u32),
-        );
-        for &s in &self.overlay {
-            let (dx, dy) = axis_gaps(self.rects[s as usize], window);
-            if dx <= dist && dy <= dist {
-                out.push(s);
+    /// The full state of one layer: connected components by one
+    /// union-find over grid neighbors, then the spacing representative
+    /// of every component pair closer than `space`.
+    fn build(space: i64, rects: Vec<Rect>, next_label: &mut u64) -> LayerState {
+        let mut layer = LayerState::empty(space, BucketGrid::build(rects));
+        let grid = &layer.grid;
+        let n = grid.len();
+        let mut uf = UnionFind::new(n);
+        for i in 0..n as u32 {
+            for j in grid.query(grid.rect(i)) {
+                if j > i {
+                    uf.union(i as usize, j as usize);
+                }
             }
         }
+        let mut fresh: HashMap<usize, u64> = HashMap::new();
+        for (slot, c) in uf.labels().into_iter().enumerate() {
+            let label = *fresh.entry(c).or_insert_with(|| {
+                *next_label += 1;
+                *next_label - 1
+            });
+            layer.label.push(label);
+            layer.members.entry(label).or_default().push(slot as u32);
+        }
+        for slot in 0..n as u32 {
+            let key = rect_key(grid.rect(slot));
+            layer.by_rect.entry(key).or_default().push(slot);
+        }
+        if space > 0 {
+            for i in 0..n as u32 {
+                let a = grid.rect(i);
+                for j in grid.within(a, space - 1) {
+                    let (li, lj) = (layer.label[i as usize], layer.label[j as usize]);
+                    if j <= i || li == lj {
+                        continue;
+                    }
+                    let b = grid.rect(j);
+                    let (dx, dy) = axis_gaps(a, b);
+                    offer_representative(
+                        &mut layer.spacing,
+                        (li.min(lj), li.max(lj)),
+                        dx.max(dy),
+                        a,
+                        b,
+                    );
+                }
+            }
+        }
+        layer
+    }
+
+    /// Live slots whose axis gap to `window` is at most `dist` on both
+    /// axes.
+    fn neighbors(&self, window: Rect, dist: i64, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.grid.within(window, dist));
     }
 
     fn add_slot(&mut self, r: Rect) -> u32 {
-        let slot = self.rects.len() as u32;
-        self.rects.push(r);
-        self.live.push(true);
-        self.label.push(0);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.label.push(0);
+            (self.label.len() - 1) as u32
+        });
         self.by_rect.entry(rect_key(r)).or_default().push(slot);
-        self.overlay.push(slot);
+        self.grid.insert(slot, r);
         slot
     }
 
-    /// Tombstones one live slot holding exactly `r`. `None` when no
-    /// such slot exists — a contract violation the caller handles.
+    /// Frees one live slot holding exactly `r`. `None` when no such
+    /// slot exists — a contract violation the caller handles.
     fn remove_rect(&mut self, r: Rect) -> Option<u32> {
         let slots = self.by_rect.get_mut(&rect_key(r))?;
         let slot = slots.pop()?;
         if slots.is_empty() {
             self.by_rect.remove(&rect_key(r));
         }
-        self.live[slot as usize] = false;
+        self.grid.remove(slot);
         if let Some(m) = self.members.get_mut(&self.label[slot as usize]) {
             if let Some(pos) = m.iter().position(|&s| s == slot) {
                 m.swap_remove(pos);
@@ -131,18 +165,8 @@ impl LayerState {
                 self.members.remove(&self.label[slot as usize]);
             }
         }
-        if let Some(pos) = self.overlay.iter().position(|&s| s == slot) {
-            self.overlay.swap_remove(pos);
-        }
+        self.free.push(slot);
         Some(slot)
-    }
-
-    fn maybe_rebuild_index(&mut self) {
-        if self.overlay.len() > OVERLAY_REBUILD {
-            self.index = SpatialIndex::build(&self.rects);
-            self.indexed_len = self.rects.len();
-            self.overlay.clear();
-        }
     }
 }
 
@@ -150,9 +174,12 @@ impl LayerState {
 #[derive(Debug)]
 pub struct DrcState {
     rules: RuleSet,
-    /// Slot arena of the current shapes (with cached bbox); removal
-    /// tombstones, addition appends.
-    shapes: Vec<Option<(FlatShape, Rect)>>,
+    /// Slot arena of the current shapes. A removed slot goes on `free`
+    /// and the next addition reuses it.
+    shapes: Vec<Option<FlatShape>>,
+    free: Vec<u32>,
+    /// The live shapes' bounding boxes, by slot.
+    grid: BucketGrid,
     live_shapes: usize,
     layers: BTreeMap<Layer, LayerState>,
     /// Width-violation multiset keyed by `(layer, at, measured,
@@ -188,8 +215,8 @@ fn width_violation(shape: &FlatShape, rules: &RuleSet) -> Option<(Layer, RectKey
 /// Diff key: layer + geometry. Depth is deliberately excluded — the
 /// checker never reads it, so shapes differing only in depth are
 /// DRC-equivalent.
-fn shape_key(s: &FlatShape) -> String {
-    format!("{:?}|{:?}", s.layer, s.geometry)
+fn shape_key(s: &FlatShape) -> (Layer, &Geometry) {
+    (s.layer, &s.geometry)
 }
 
 impl DrcState {
@@ -197,70 +224,40 @@ impl DrcState {
     /// baseline every incremental update patches.
     pub fn build(shapes: &[FlatShape], rules: &RuleSet) -> DrcState {
         let mut sp = riot_trace::span!("drc.state.build", shapes = shapes.len() as u64);
-        let mut state = DrcState {
-            rules: rules.clone(),
-            shapes: Vec::with_capacity(shapes.len()),
-            live_shapes: shapes.len(),
-            layers: BTreeMap::new(),
-            width: HashMap::new(),
-            next_label: 1,
-            rebuilds: 0,
-        };
+        let mut width = HashMap::new();
+        let mut painted: BTreeMap<Layer, Vec<Rect>> = BTreeMap::new();
+        let mut arena = Vec::with_capacity(shapes.len());
+        let mut bboxes = Vec::with_capacity(shapes.len());
         for s in shapes {
             if let Some(k) = width_violation(s, rules) {
-                *state.width.entry(k).or_insert(0) += 1;
+                *width.entry(k).or_insert(0) += 1;
             }
-            let bb = s.geometry.bounding_box();
-            if let Some(rule) = rules.rule(s.layer) {
-                let layer = state
-                    .layers
-                    .entry(s.layer)
-                    .or_insert_with(|| LayerState::new(rule.min_space));
-                for r in painted_rects(s) {
-                    layer.add_slot(r);
-                }
+            if rules.rule(s.layer).is_some() {
+                painted.entry(s.layer).or_default().extend(painted_rects(s));
             }
-            state.shapes.push(Some((s.clone(), bb)));
+            arena.push(Some(s.clone()));
+            bboxes.push(s.geometry.bounding_box());
         }
-        for layer in state.layers.values_mut() {
-            layer.index = SpatialIndex::build(&layer.rects);
-            layer.indexed_len = layer.rects.len();
-            layer.overlay.clear();
-            // Initial labels via one union-find over the whole layer.
-            let comp = crate::components(&layer.rects, &layer.index);
-            let mut fresh: HashMap<usize, u64> = HashMap::new();
-            for (slot, &c) in comp.iter().enumerate() {
-                let label = *fresh.entry(c).or_insert_with(|| {
-                    let l = state.next_label;
-                    state.next_label += 1;
-                    l
-                });
-                layer.label[slot] = label;
-                layer.members.entry(label).or_default().push(slot as u32);
-            }
-            // Initial spacing representatives.
-            if layer.space > 0 {
-                let mut neighbors = Vec::new();
-                for i in 0..layer.rects.len() {
-                    neighbors.clear();
-                    neighbors.extend(layer.index.within(layer.rects[i], layer.space - 1));
-                    for &j in &neighbors {
-                        if j <= i || layer.label[i] == layer.label[j] {
-                            continue;
-                        }
-                        let (a, b) = (layer.rects[i], layer.rects[j]);
-                        let (dx, dy) = axis_gaps(a, b);
-                        let key = (
-                            layer.label[i].min(layer.label[j]),
-                            layer.label[i].max(layer.label[j]),
-                        );
-                        offer_representative(&mut layer.spacing, key, dx.max(dy), a, b);
-                    }
-                }
-            }
+        let mut next_label = 1;
+        let layers = painted
+            .into_iter()
+            .map(|(layer, rects)| {
+                let space = rules.rule(layer).expect("checked layer").min_space;
+                (layer, LayerState::build(space, rects, &mut next_label))
+            })
+            .collect();
+        sp.field("labels", next_label);
+        DrcState {
+            rules: rules.clone(),
+            shapes: arena,
+            free: Vec::new(),
+            grid: BucketGrid::build(bboxes),
+            live_shapes: shapes.len(),
+            layers,
+            width,
+            next_label,
+            rebuilds: 0,
         }
-        sp.field("labels", state.next_label);
-        state
     }
 
     /// The current violation multiset: equals `check(shapes, rules)`
@@ -295,6 +292,15 @@ impl DrcState {
     pub fn full_rebuilds(&self) -> u64 {
         self.rebuilds
     }
+
+    /// Replaces the state by a full build over `shapes` after a
+    /// contract breach, keeping the breach count.
+    fn rebuild(&mut self, shapes: &[FlatShape]) -> usize {
+        let rebuilds = self.rebuilds + 1;
+        *self = DrcState::build(shapes, &self.rules);
+        self.rebuilds = rebuilds;
+        self.live_shapes
+    }
 }
 
 /// Patches `state` so it reflects `shapes`, given that every change
@@ -314,16 +320,18 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
 
     // Multiset-diff the dirty subsets at shape level: shapes present
     // on both sides survive untouched; the rest are removals and
-    // additions.
-    let mut old_dirty: HashMap<String, Vec<usize>> = HashMap::new();
-    let mut old_dirty_total = 0usize;
-    for (slot, entry) in state.shapes.iter().enumerate() {
-        if let Some((shape, bb)) = entry {
-            if in_dirty(*bb) {
-                old_dirty.entry(shape_key(shape)).or_default().push(slot);
-                old_dirty_total += 1;
-            }
-        }
+    // additions. The old side comes from the shape grid; a shape
+    // touching several dirty rects is found once per rect.
+    let mut old_slots: Vec<u32> = dirty.iter().flat_map(|&d| state.grid.query(d)).collect();
+    old_slots.sort_unstable();
+    old_slots.dedup();
+    let old_dirty_total = old_slots.len();
+    let mut old_dirty: HashMap<(Layer, &Geometry), Vec<u32>> = HashMap::new();
+    for &slot in &old_slots {
+        let shape = state.shapes[slot as usize]
+            .as_ref()
+            .expect("the shape grid holds live slots");
+        old_dirty.entry(shape_key(shape)).or_default().push(slot);
     }
     let mut added: Vec<&FlatShape> = Vec::new();
     let mut new_dirty_total = 0usize;
@@ -338,7 +346,8 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
             }
         }
     }
-    let removed: Vec<usize> = old_dirty.into_values().flatten().collect();
+    let mut removed: Vec<u32> = old_dirty.into_values().flatten().collect();
+    removed.sort_unstable();
 
     // Contract sanity: the clean region must hold the same number of
     // shapes on both sides. Population drift means damage was
@@ -346,12 +355,8 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
     let clean_old = state.live_shapes - old_dirty_total;
     let clean_new = shapes.len() - new_dirty_total;
     if clean_old != clean_new {
-        state.rebuilds += 1;
-        let rebuilds = state.rebuilds;
-        *state = DrcState::build(shapes, &state.rules);
-        state.rebuilds = rebuilds;
         sp.field("rebuild", 1);
-        return state.live_shapes;
+        return state.rebuild(shapes);
     }
     if removed.is_empty() && added.is_empty() {
         return 0;
@@ -360,7 +365,9 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
     // Per-layer work lists: removed slots and added rects.
     let mut removed_rects: BTreeMap<Layer, Vec<Rect>> = BTreeMap::new();
     for &slot in &removed {
-        let (shape, _) = state.shapes[slot].take().expect("diffed as live");
+        let shape = state.shapes[slot as usize].take().expect("diffed as live");
+        state.grid.remove(slot);
+        state.free.push(slot);
         state.live_shapes -= 1;
         if let Some(k) = width_violation(&shape, &state.rules) {
             if let Some(c) = state.width.get_mut(&k) {
@@ -388,27 +395,36 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
                 .or_default()
                 .extend(painted_rects(s));
         }
-        state
-            .shapes
-            .push(Some((s.clone(), s.geometry.bounding_box())));
+        let slot = match state.free.pop() {
+            Some(slot) => {
+                state.shapes[slot as usize] = Some(s.clone());
+                slot
+            }
+            None => {
+                state.shapes.push(Some(s.clone()));
+                (state.shapes.len() - 1) as u32
+            }
+        };
+        state.grid.insert(slot, s.geometry.bounding_box());
         state.live_shapes += 1;
     }
 
     // Patch each touched layer's connectivity and spacing.
     let mut patched_total = 0usize;
-    let touched: Vec<Layer> = removed_rects
+    let touched: BTreeSet<Layer> = removed_rects
         .keys()
         .chain(added_rects.keys())
         .copied()
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
         .collect();
     for layer_id in touched {
         let rule = state.rules.rule(layer_id).expect("only checked layers");
+        // A layer first painted by this update is indexed with the
+        // shape grid's cells, which already span the chip.
+        let shape_grid = &state.grid;
         let layer = state
             .layers
             .entry(layer_id)
-            .or_insert_with(|| LayerState::new(rule.min_space));
+            .or_insert_with(|| LayerState::empty(rule.min_space, shape_grid.empty_like()));
 
         let mut affected: HashSet<u64> = HashSet::new();
         for &r in removed_rects
@@ -423,12 +439,8 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
                 None => {
                     // A removed shape whose rect is not in the state:
                     // the caller's shape list and ours disagree.
-                    state.rebuilds += 1;
-                    let rebuilds = state.rebuilds;
-                    *state = DrcState::build(shapes, &state.rules);
-                    state.rebuilds = rebuilds;
                     sp.field("rebuild", 1);
-                    return state.live_shapes;
+                    return state.rebuild(shapes);
                 }
             }
         }
@@ -440,7 +452,7 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
         // Labels whose components touch the additions join the rebuild
         // set (an addition can merge two components into one).
         for &s in &new_slots {
-            layer.neighbors(layer.rects[s as usize], 0, &mut neighbors);
+            layer.neighbors(layer.grid.rect(s), 0, &mut neighbors);
             for &t in &neighbors {
                 if !new_slots.contains(&t) {
                     affected.insert(layer.label[t as usize]);
@@ -467,7 +479,7 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
         let local: HashMap<u32, usize> = rebuild.iter().enumerate().map(|(i, &s)| (s, i)).collect();
         let mut uf = UnionFind::new(rebuild.len());
         for (i, &s) in rebuild.iter().enumerate() {
-            layer.neighbors(layer.rects[s as usize], 0, &mut neighbors);
+            layer.neighbors(layer.grid.rect(s), 0, &mut neighbors);
             for &t in &neighbors {
                 if let Some(&j) = local.get(&t) {
                     uf.union(i, j);
@@ -501,14 +513,14 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
             .retain(|&(a, b), _| !affected.contains(&a) && !affected.contains(&b));
         if layer.space > 0 {
             for &s in &rebuild {
-                let rs = layer.rects[s as usize];
+                let rs = layer.grid.rect(s);
                 layer.neighbors(rs, layer.space - 1, &mut neighbors);
                 for &t in &neighbors {
                     let (ls, lt) = (layer.label[s as usize], layer.label[t as usize]);
                     if ls == lt {
                         continue;
                     }
-                    let rt = layer.rects[t as usize];
+                    let rt = layer.grid.rect(t);
                     let (dx, dy) = axis_gaps(rs, rt);
                     if dx < layer.space && dy < layer.space {
                         offer_representative(
@@ -522,7 +534,6 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
                 }
             }
         }
-        layer.maybe_rebuild_index();
     }
     sp.field("patched", patched_total as u64);
     if riot_trace::enabled() {
@@ -644,6 +655,88 @@ mod tests {
         );
         assert_eq!(state.full_rebuilds(), 1);
         assert_eq!(canon(state.violations()), canon(check(&[a, b], &rules)));
+    }
+
+    /// A 1,000-edit stream of moves and moves back keeps the shape
+    /// arena and every layer arena at the live count: removed slots are
+    /// reused, so nothing accumulates however long a session runs.
+    #[test]
+    fn move_and_back_stream_keeps_arenas_at_the_live_count() {
+        let rules = RuleSet::nmos();
+        // A 10 × 10 lattice of cells: a metal box, a thin poly strip
+        // (a width violation) and a metal wire per cell.
+        let cell = |k: i64, dx: i64| -> Vec<FlatShape> {
+            let (x, y) = ((k % 10) * 20 * LAMBDA + dx, (k / 10) * 20 * LAMBDA);
+            let wire = riot_geom::Path::from_points([
+                riot_geom::Point::new(x, y + 8 * LAMBDA),
+                riot_geom::Point::new(x + 10 * LAMBDA, y + 8 * LAMBDA),
+                riot_geom::Point::new(x + 10 * LAMBDA, y + 14 * LAMBDA),
+            ])
+            .expect("manhattan");
+            vec![
+                boxed(
+                    Layer::Metal,
+                    Rect::new(x, y, x + 6 * LAMBDA, y + 4 * LAMBDA),
+                ),
+                boxed(
+                    Layer::Poly,
+                    Rect::new(x, y + 5 * LAMBDA, x + 8 * LAMBDA, y + 6 * LAMBDA),
+                ),
+                FlatShape {
+                    layer: Layer::Metal,
+                    geometry: Geometry::Wire {
+                        width: 3 * LAMBDA,
+                        path: wire,
+                    },
+                    depth: 1,
+                },
+            ]
+        };
+        let chip = |moved: Option<(i64, i64)>| -> Vec<FlatShape> {
+            (0..100)
+                .flat_map(|k| cell(k, moved.filter(|m| m.0 == k).map_or(0, |m| m.1)))
+                .collect()
+        };
+        let bbox = |shapes: &[FlatShape]| -> Rect {
+            shapes
+                .iter()
+                .map(|s| s.geometry.bounding_box())
+                .reduce(|a, b| a.union(b))
+                .expect("non-empty cell")
+        };
+        let mut shapes = chip(None);
+        let mut state = DrcState::build(&shapes, &rules);
+        let live = |state: &DrcState| -> Vec<(Layer, usize)> {
+            state
+                .layers
+                .iter()
+                .map(|(&l, ls)| (l, ls.label.len() - ls.free.len()))
+                .collect()
+        };
+        let painted = live(&state);
+        assert_eq!(state.shapes.len(), 300);
+        for edit in 0..1000i64 {
+            let k = (edit / 2 * 37) % 100;
+            // Even edits move cell `k` right by 6λ (into its neighbor's
+            // spacing zone); odd edits move it back.
+            let dx = if edit % 2 == 0 { 6 * LAMBDA } else { 0 };
+            let before = bbox(&cell(k, 6 * LAMBDA - dx));
+            let after = bbox(&cell(k, dx));
+            shapes = chip(Some((k, dx)));
+            assert!(check_incremental(&mut state, &[before, after], &shapes) > 0);
+            assert_eq!(state.shapes.len(), shapes.len(), "edit {edit}");
+            assert_eq!(state.free.len(), 0, "edit {edit}");
+            for (&l, ls) in &state.layers {
+                assert_eq!(ls.free.len(), 0, "edit {edit} {l:?}");
+                assert_eq!(ls.grid.len(), ls.label.len(), "edit {edit} {l:?}");
+            }
+            assert_eq!(live(&state), painted, "edit {edit}");
+            if edit % 100 == 0 {
+                assert_eq!(canon(state.violations()), canon(check(&shapes, &rules)));
+            }
+        }
+        assert_eq!(state.full_rebuilds(), 0);
+        assert_eq!(canon(state.violations()), canon(check(&shapes, &rules)));
     }
 
     #[test]

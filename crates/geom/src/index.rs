@@ -1,17 +1,24 @@
-//! An immutable spatial index over rectangles: a bucketed uniform grid.
+//! Spatial indexes over rectangles: bucketed uniform grids.
 //!
 //! The geometry hot paths (DRC spacing, connected-component discovery,
 //! per-band render clipping) all ask the same question — *which
 //! rectangles are near this one?* — and until this module existed they
-//! all answered it with an all-pairs scan. [`SpatialIndex`] answers it
-//! in roughly O(k) per query after an O(n log n) build: rectangles are
-//! binned into a √n × √n grid of buckets (CSR layout, two-pass build,
-//! no per-bucket allocation), and a query gathers the buckets its
-//! window overlaps, deduplicates, and filters exactly.
+//! all answered it with an all-pairs scan. Two grids answer it in
+//! roughly O(k) per query:
 //!
-//! The index is **immutable** once built and contains only plain data
-//! plus atomic counters, so shared references can be queried freely
-//! from worker threads (see [`crate::par`]).
+//! - [`SpatialIndex`] is **immutable**: rectangles are binned into a
+//!   √n × √n grid of buckets (CSR layout, two-pass build, no
+//!   per-bucket allocation), and a query gathers the buckets its window
+//!   overlaps, deduplicates, and filters exactly. It holds only plain
+//!   data plus atomic counters, so shared references can be queried
+//!   freely from worker threads (see [`crate::par`]). One-shot passes
+//!   (a full DRC, a full render) use it.
+//! - [`BucketGrid`] is **mutable**: the same √n × √n sizing, but each
+//!   bucket is a linked list in one node arena, so
+//!   [`BucketGrid::insert`] and [`BucketGrid::remove`] cost O(buckets a
+//!   rect spans) and never rebuild anything. Retained state that is
+//!   patched edit by edit (the incremental DRC, the render cache) uses
+//!   it.
 //!
 //! # Example
 //!
@@ -258,6 +265,350 @@ impl SpatialIndex {
     }
 }
 
+/// Ends a [`BucketGrid`] bucket list and its chain of recycled nodes.
+const NIL: u32 = u32::MAX;
+
+/// One entry of a [`BucketGrid`] bucket list.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    id: u32,
+    next: u32,
+}
+
+/// A mutable bucketed-grid index: a table of rects by id, plus the
+/// buckets that find them.
+///
+/// Sized like [`SpatialIndex`] — about ⌈√n⌉ buckets a side over the
+/// bounds it is built for — but each bucket is a singly linked list
+/// threaded through one node arena, so entries are inserted and
+/// removed in place: no per-bucket allocation, no side list of recent
+/// edits, no periodic rebuild. Removed nodes are recycled, so the
+/// arena stays at the high-water mark of live entries. Ids index the
+/// rect table, so they should be dense, such as arena slots.
+///
+/// The grid **tiles the plane**: a cell outside the build bounds folds
+/// onto the bucket at the same position modulo the grid. Geometry added
+/// far from the original bounds, at negative coordinates, or to a grid
+/// that was empty when built lands in buckets no denser than the ones
+/// inside, instead of piling up on an edge. A rect wider than the grid
+/// occupies each of its columns once. Queries filter exactly (a folded
+/// bucket can hold far-away entries) and report each entry once.
+///
+/// # Example
+///
+/// ```
+/// use riot_geom::{index::BucketGrid, Rect};
+///
+/// let mut grid = BucketGrid::build(vec![Rect::new(0, 0, 10, 10), Rect::new(50, 0, 60, 10)]);
+/// grid.insert(7, Rect::new(-500, -500, -490, -490)); // far outside the build bounds
+/// assert!(grid.remove(0));
+/// let mut hits: Vec<u32> = grid.query(Rect::new(-1000, -1000, 55, 5)).collect();
+/// hits.sort_unstable();
+/// assert_eq!(hits, vec![1, 7]);
+/// assert_eq!(grid.rect(7), Rect::new(-500, -500, -490, -490));
+/// ```
+#[derive(Debug, Clone)]
+pub struct BucketGrid {
+    cells: Cells,
+    /// Each id's rect (stale once the id is removed).
+    rects: Vec<Rect>,
+    /// First node of each bucket's list, [`NIL`] when empty.
+    head: Vec<u32>,
+    nodes: Vec<Node>,
+    /// Chain of recycled nodes, linked through `next`.
+    free: u32,
+    len: usize,
+}
+
+/// The cell geometry of a [`BucketGrid`]: origin, cell size and the
+/// bucket dimensions cells fold onto. Cell sides and bucket dimensions
+/// are powers of two, so a coordinate maps to its cell by a shift and
+/// a cell to its bucket by a mask — no division on any path.
+#[derive(Debug, Clone, Copy)]
+struct Cells {
+    x0: i64,
+    y0: i64,
+    /// log₂ of the cell width and height.
+    shift_x: u32,
+    shift_y: u32,
+    /// log₂ of the bucket columns and rows.
+    log_cols: u32,
+    log_rows: u32,
+}
+
+impl Cells {
+    /// Cells at least `extent / ⌈√n⌉` on a side (the next power of
+    /// two) over `bounds`, and enough buckets that no two cells inside
+    /// `bounds` fold together.
+    fn new(bounds: Rect, n: usize) -> Cells {
+        let side = (n as f64).sqrt().ceil().max(1.0);
+        let axis = |extent: i64| -> (u32, u32) {
+            let ideal = (extent.max(1) as f64 / side).max(1.0);
+            let shift = (ideal.log2().ceil() as u32).min(62);
+            let cells = (extent >> shift) as u64 + 1;
+            (shift, cells.next_power_of_two().trailing_zeros())
+        };
+        let (shift_x, log_cols) = axis(bounds.width());
+        let (shift_y, log_rows) = axis(bounds.height());
+        Cells {
+            x0: bounds.x0,
+            y0: bounds.y0,
+            shift_x,
+            shift_y,
+            log_cols,
+            log_rows,
+        }
+    }
+
+    fn cols(&self) -> i64 {
+        1 << self.log_cols
+    }
+
+    fn rows(&self) -> i64 {
+        1 << self.log_rows
+    }
+
+    /// The first unwrapped cell of `r` along each axis.
+    fn first(&self, r: Rect) -> (i64, i64) {
+        (
+            (r.x0 - self.x0) >> self.shift_x,
+            (r.y0 - self.y0) >> self.shift_y,
+        )
+    }
+
+    /// The first unwrapped cell of `r` and its cell count along each
+    /// axis, the counts capped at the bucket dimensions.
+    fn span(&self, r: Rect) -> ((i64, i64), (i64, i64)) {
+        let (cx, cy) = self.first(r);
+        let nx = ((r.x1 - self.x0) >> self.shift_x) - cx + 1;
+        let ny = ((r.y1 - self.y0) >> self.shift_y) - cy + 1;
+        ((cx, nx.min(self.cols())), (cy, ny.min(self.rows())))
+    }
+
+    /// The first cell where the span of `r` meets a span starting at
+    /// cell `q`, folded into the `cols × rows` cells from `q` on (a
+    /// capped query span visits each bucket once, from that window).
+    /// Only meaningful when the two spans meet.
+    fn first_meet(&self, r: Rect, q: (i64, i64)) -> (i64, i64) {
+        let (rx, ry) = self.first(r);
+        (
+            q.0 + ((rx.max(q.0) - q.0) & (self.cols() - 1)),
+            q.1 + ((ry.max(q.1) - q.1) & (self.rows() - 1)),
+        )
+    }
+
+    /// The bucket an unwrapped cell folds onto.
+    fn bucket(&self, cx: i64, cy: i64) -> usize {
+        (((cy & (self.rows() - 1)) << self.log_cols) | (cx & (self.cols() - 1))) as usize
+    }
+
+    fn buckets(&self) -> usize {
+        1 << (self.log_cols + self.log_rows)
+    }
+
+    fn for_each_bucket(&self, r: Rect, mut f: impl FnMut(usize)) {
+        let ((cx, nx), (cy, ny)) = self.span(r);
+        for j in 0..ny {
+            for i in 0..nx {
+                f(self.bucket(cx + i, cy + j));
+            }
+        }
+    }
+}
+
+impl BucketGrid {
+    /// An empty grid with this one's cell geometry — for a collection
+    /// that starts empty but will fill the same region.
+    pub fn empty_like(&self) -> BucketGrid {
+        BucketGrid::with_cells(self.cells)
+    }
+
+    fn with_cells(cells: Cells) -> BucketGrid {
+        BucketGrid {
+            cells,
+            rects: Vec::new(),
+            head: vec![NIL; cells.buckets()],
+            nodes: Vec::new(),
+            free: NIL,
+            len: 0,
+        }
+    }
+
+    /// Builds a grid over `rects` with the ids `0..rects.len()`, sized
+    /// to their bounds. Two counting passes lay each bucket's list out
+    /// contiguously in the node arena.
+    pub fn build(rects: Vec<Rect>) -> BucketGrid {
+        let bounds = rects
+            .iter()
+            .copied()
+            .reduce(|a, b| a.union(b))
+            .unwrap_or_default();
+        let mut grid = BucketGrid::with_cells(Cells::new(bounds, rects.len()));
+        let cells = grid.cells;
+        let mut start = vec![0u32; grid.head.len() + 1];
+        for &r in &rects {
+            cells.for_each_bucket(r, |b| start[b + 1] += 1);
+        }
+        for b in 1..start.len() {
+            start[b] += start[b - 1];
+        }
+        grid.nodes = vec![Node { id: 0, next: NIL }; start[grid.head.len()] as usize];
+        let mut cursor = start.clone();
+        for (id, &r) in rects.iter().enumerate() {
+            cells.for_each_bucket(r, |b| {
+                let at = cursor[b];
+                cursor[b] += 1;
+                let next = if at + 1 < start[b + 1] { at + 1 } else { NIL };
+                grid.nodes[at as usize] = Node {
+                    id: id as u32,
+                    next,
+                };
+            });
+        }
+        for (b, head) in grid.head.iter_mut().enumerate() {
+            if start[b] < start[b + 1] {
+                *head = start[b];
+            }
+        }
+        grid.len = rects.len();
+        grid.rects = rects;
+        grid
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the grid holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The rect entry `id` was inserted with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was never inserted (a removed id still reads its
+    /// last rect).
+    pub fn rect(&self, id: u32) -> Rect {
+        self.rects[id as usize]
+    }
+
+    /// Adds the entry `id` covering `rect`. An id must not be inserted
+    /// twice without a [`Self::remove`] between.
+    pub fn insert(&mut self, id: u32, rect: Rect) {
+        let slot = id as usize;
+        if slot >= self.rects.len() {
+            self.rects.resize(slot + 1, Rect::default());
+        }
+        self.rects[slot] = rect;
+        let cells = self.cells;
+        cells.for_each_bucket(rect, |b| {
+            let node = Node {
+                id,
+                next: self.head[b],
+            };
+            let at = if self.free == NIL {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            } else {
+                let at = self.free;
+                self.free = self.nodes[at as usize].next;
+                self.nodes[at as usize] = node;
+                at
+            };
+            self.head[b] = at;
+        });
+        self.len += 1;
+    }
+
+    /// Removes the entry `id`. Returns `false` when it is not present.
+    pub fn remove(&mut self, id: u32) -> bool {
+        let Some(&rect) = self.rects.get(id as usize) else {
+            return false;
+        };
+        let cells = self.cells;
+        let mut found = false;
+        cells.for_each_bucket(rect, |b| {
+            let mut prev = NIL;
+            let mut at = self.head[b];
+            while at != NIL {
+                let node = self.nodes[at as usize];
+                if node.id == id {
+                    if prev == NIL {
+                        self.head[b] = node.next;
+                    } else {
+                        self.nodes[prev as usize].next = node.next;
+                    }
+                    self.nodes[at as usize].next = self.free;
+                    self.free = at;
+                    found = true;
+                    return;
+                }
+                prev = at;
+                at = node.next;
+            }
+        });
+        if found {
+            self.len -= 1;
+        }
+        found
+    }
+
+    /// Ids of all entries whose rect touches `window` (boundary contact
+    /// counts, matching [`Rect::touches`]), each once, in no particular
+    /// order.
+    pub fn query(&self, window: Rect) -> impl Iterator<Item = u32> + '_ {
+        let c = self.cells;
+        let ((qx, nx), (qy, ny)) = c.span(window);
+        (0..ny)
+            .flat_map(move |j| (0..nx).map(move |i| (qx + i, qy + j)))
+            .flat_map(move |(cx, cy)| {
+                let list = BucketList {
+                    nodes: &self.nodes,
+                    at: self.head[c.bucket(cx, cy)],
+                };
+                // An entry spanning several visited buckets is reported
+                // at the first cell where its span and the window's
+                // meet.
+                list.filter(move |&id| {
+                    let r = self.rects[id as usize];
+                    r.touches(window) && c.first_meet(r, (qx, qy)) == (cx, cy)
+                })
+            })
+    }
+
+    /// Ids of all entries whose axis gap to `window` is at most `dist`
+    /// on **both** axes, as [`SpatialIndex::within`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dist` is negative.
+    pub fn within(&self, window: Rect, dist: i64) -> impl Iterator<Item = u32> + '_ {
+        assert!(dist >= 0, "within() needs a non-negative distance");
+        self.query(window.inflated(dist))
+    }
+}
+
+/// Walks one bucket's list, yielding ids.
+struct BucketList<'a> {
+    nodes: &'a [Node],
+    at: u32,
+}
+
+impl Iterator for BucketList<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        (self.at != NIL).then(|| {
+            let node = self.nodes[self.at as usize];
+            self.at = node.next;
+            node.id
+        })
+    }
+}
+
 /// The L∞ gap from a point to a rectangle: 0 inside/on the boundary.
 fn rect_point_gap(r: Rect, p: Point) -> i64 {
     let dx = (r.x0 - p.x).max(p.x - r.x1).max(0);
@@ -458,6 +809,140 @@ mod tests {
         let idx = SpatialIndex::build(&rects);
         let got: Vec<usize> = idx.query(Rect::new(5, 5, 5, 5)).collect();
         assert_eq!(got, vec![0, 1]);
+    }
+
+    /// Xorshift stream for the soups below.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    fn sorted(it: impl Iterator<Item = u32>) -> Vec<usize> {
+        let mut v: Vec<usize> = it.map(|id| id as usize).collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn bucket_grid_build_matches_naive() {
+        let mut next = xorshift(0x9E3779B97F4A7C15);
+        let rects: Vec<Rect> = (0..500)
+            .map(|_| {
+                let x = (next() % 10_000) as i64;
+                let y = (next() % 10_000) as i64;
+                let w = (next() % 400) as i64;
+                let h = (next() % 400) as i64;
+                Rect::new(x, y, x + w, y + h)
+            })
+            .collect();
+        let grid = BucketGrid::build(rects.clone());
+        assert_eq!(grid.len(), rects.len());
+        for i in (0..rects.len()).step_by(7) {
+            let got = sorted(grid.query(rects[i]));
+            assert_eq!(got, naive_touching(&rects, rects[i]), "rect {i}");
+        }
+        for window in [
+            Rect::new(-100, -100, -50, -50),
+            Rect::new(-1 << 40, -1 << 40, 1 << 40, 1 << 40),
+            Rect::new(5000, 5000, 5000, 5000),
+        ] {
+            let got = sorted(grid.query(window));
+            assert_eq!(got, naive_touching(&rects, window), "window {window}");
+        }
+    }
+
+    /// Random inserts, removes and moves — many far outside the build
+    /// bounds, at negative coordinates, or wider than the whole grid —
+    /// keep every query exact, and recycled nodes keep the arena at
+    /// its high-water mark.
+    #[test]
+    fn bucket_grid_stays_exact_under_churn() {
+        let mut next = xorshift(0xD1B54A32D192ED03);
+        let rand_rect = |next: &mut dyn FnMut() -> u64| {
+            let (x, y) = match next() % 4 {
+                0 => (-(1 << 31) + (next() % 5000) as i64, (next() % 5000) as i64),
+                1 => (
+                    (1 << 31) - (next() % 5000) as i64,
+                    -((next() % 90_000) as i64),
+                ),
+                _ => ((next() % 1000) as i64, (next() % 1000) as i64),
+            };
+            let w = if next().is_multiple_of(50) {
+                1 << 33
+            } else {
+                (next() % 60) as i64
+            };
+            Rect::new(x, y, x + w, y + (next() % 60) as i64)
+        };
+        let mut live: Vec<Option<Rect>> = (0..64)
+            .map(|i| Some(Rect::new(i * 15, i * 15, i * 15 + 10, i * 15 + 10)))
+            .collect();
+        let start: Vec<Rect> = live.iter().map(|r| r.unwrap()).collect();
+        let mut grid = BucketGrid::build(start);
+        let mut high_water = grid.nodes.len();
+        for step in 0..3000 {
+            let id = (next() % live.len() as u64) as usize;
+            match live[id] {
+                Some(r) => {
+                    assert_eq!(grid.rect(id as u32), r);
+                    assert!(grid.remove(id as u32), "step {step}");
+                    assert!(!grid.remove(id as u32), "step {step}");
+                    live[id] = None;
+                }
+                None => {
+                    let r = rand_rect(&mut next);
+                    grid.insert(id as u32, r);
+                    live[id] = Some(r);
+                }
+            }
+            if step % 50 == 0 {
+                let window = rand_rect(&mut next).inflated((next() % 3000) as i64);
+                let want: Vec<usize> = live
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.is_some_and(|r| r.touches(window)))
+                    .map(|(i, _)| i)
+                    .collect();
+                assert_eq!(sorted(grid.query(window)), want, "step {step}");
+            }
+            high_water = high_water.max(grid.nodes.len());
+        }
+        assert_eq!(grid.len(), live.iter().flatten().count());
+        assert!(!grid.remove(u32::MAX));
+        // Move every live entry back and forth: no node is ever leaked.
+        let before = grid.nodes.len();
+        for _ in 0..10 {
+            for (id, r) in live.iter().enumerate() {
+                if let Some(r) = *r {
+                    assert!(grid.remove(id as u32));
+                    grid.insert(id as u32, r);
+                }
+            }
+        }
+        assert_eq!(grid.nodes.len(), before);
+        assert!(before <= high_water);
+    }
+
+    #[test]
+    fn empty_bucket_grid_grows_and_within_matches_spatial_index() {
+        let rects = grid_rects(9, 7, 8, 20);
+        let spatial = SpatialIndex::build(&rects);
+        let mut grid = BucketGrid::build(Vec::new()).empty_like();
+        assert!(grid.is_empty());
+        for (i, &r) in rects.iter().enumerate() {
+            grid.insert(i as u32, r);
+        }
+        for &r in &rects {
+            for dist in [0, 5, 12, 40] {
+                let want: Vec<usize> = spatial.within(r, dist).collect();
+                assert_eq!(sorted(grid.within(r, dist)), want);
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod side;
 pub mod transform;
 pub mod units;
 
-pub use index::SpatialIndex;
+pub use index::{BucketGrid, SpatialIndex};
 pub use layer::Layer;
 pub use orientation::Orientation;
 pub use path::Path;

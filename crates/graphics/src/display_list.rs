@@ -5,7 +5,7 @@ use crate::font;
 use crate::framebuffer::Framebuffer;
 use crate::raster::{self, PixelSink};
 use crate::viewport::Viewport;
-use riot_geom::{par, Point, Rect, SpatialIndex};
+use riot_geom::{par, BucketGrid, Point, Rect, SpatialIndex};
 
 /// One drawing operation in world (centimicron) coordinates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -323,37 +323,27 @@ pub fn op_damage_bbox(op: &DrawOp, viewport: &Viewport) -> Rect {
     Rect::new(r.x0 - wppx, r.y0 - wppy, r.x1 + wppx, r.y1 + wppy)
 }
 
-/// When the overlay of changed-but-unindexed ops grows past this, the
-/// spatial index is rebuilt (same policy as the incremental DRC state).
-const OVERLAY_REBUILD: usize = 2048;
-
-/// Retained acceleration state for damage repaints: each op's
-/// screen-space bounding box, a [`SpatialIndex`] over them, and an
-/// overlay of op indices edited since the index was last built. With a
-/// long-lived cache a single-op edit repaints in O(damage), not O(ops):
-/// [`RenderCache::sync`] refreshes only the changed boxes, and
-/// [`RenderCache::render`] finds candidates through the index plus a
-/// linear scan of the (small) overlay.
+/// Retained acceleration state for damage repaints: a [`BucketGrid`]
+/// of each op's screen-space bounding box. With a long-lived cache a
+/// single-op edit repaints in O(damage), not O(ops):
+/// [`RenderCache::sync`] moves only the changed boxes within the grid,
+/// and [`RenderCache::render`] finds candidates through it.
 #[derive(Debug)]
 pub struct RenderCache {
     viewport: Viewport,
-    boxes: Vec<Rect>,
-    index: SpatialIndex,
-    overlay: Vec<usize>,
+    /// Op `i`'s screen box under id `i`.
+    boxes: BucketGrid,
     pad: i64,
 }
 
 impl RenderCache {
-    /// Builds the retained state from scratch — O(ops log ops).
+    /// Builds the retained state from scratch — O(ops).
     pub fn build(ops: &[DrawOp], viewport: &Viewport) -> RenderCache {
-        let boxes: Vec<Rect> = ops.iter().map(|op| op_screen_bbox(op, viewport)).collect();
-        let index = SpatialIndex::build(&boxes);
+        let boxes = ops.iter().map(|op| op_screen_bbox(op, viewport)).collect();
         let pad = ops.iter().fold(0i64, |p, op| p.max(op_pad(op, viewport)));
         RenderCache {
             viewport: viewport.clone(),
-            boxes,
-            index,
-            overlay: Vec::new(),
+            boxes: BucketGrid::build(boxes),
             pad,
         }
     }
@@ -361,7 +351,7 @@ impl RenderCache {
     /// Re-syncs after `ops` was edited **in place** at the given
     /// indices. A length change or a viewport change falls back to a
     /// full [`RenderCache::build`]; otherwise only the changed boxes
-    /// are recomputed and queued on the overlay (the pad only ever
+    /// are recomputed and moved within the grid (the pad only ever
     /// grows, which is conservative and therefore safe).
     pub fn sync(&mut self, ops: &[DrawOp], viewport: &Viewport, changed: &[usize]) {
         if ops.len() != self.boxes.len() || *viewport != self.viewport {
@@ -379,33 +369,19 @@ impl RenderCache {
             return;
         }
         for &i in changed {
-            self.boxes[i] = op_screen_bbox(&ops[i], viewport);
+            let bbox = op_screen_bbox(&ops[i], viewport);
+            if bbox != self.boxes.rect(i as u32) {
+                self.boxes.remove(i as u32);
+                self.boxes.insert(i as u32, bbox);
+            }
             self.pad = self.pad.max(op_pad(&ops[i], viewport));
-            self.overlay.push(i);
-        }
-        if self.overlay.len() >= OVERLAY_REBUILD {
-            self.index = SpatialIndex::build(&self.boxes);
-            self.overlay.clear();
         }
     }
 
-    /// Ops whose **current** box touches `window`, ascending. Index
-    /// hits are re-filtered against the live boxes (entries for edited
-    /// ops are stale); edited ops are found through the overlay.
+    /// Ops whose box touches `window`, ascending.
     fn candidates(&self, window: Rect) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .index
-            .query(window)
-            .filter(|&i| self.boxes[i].touches(window))
-            .collect();
-        out.extend(
-            self.overlay
-                .iter()
-                .copied()
-                .filter(|&i| self.boxes[i].touches(window)),
-        );
+        let mut out: Vec<usize> = self.boxes.query(window).map(|i| i as usize).collect();
         out.sort_unstable();
-        out.dedup();
         out
     }
 

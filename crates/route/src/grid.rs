@@ -628,22 +628,32 @@ const DIR_X: u8 = 1;
 const DIR_Y: u8 = 2;
 const DIR_VIA: u8 = 3;
 
+/// The columns of `spec`'s windowed search: its terminal span widened
+/// by [`X_WINDOW`] on each side, clipped to the channel.
+fn net_window(grid: &Grid, spec: &Spec) -> (usize, usize) {
+    let (a, b) = (grid.xs[spec.bxi], grid.xs[spec.txi]);
+    let clo = grid.xs.partition_point(|&x| x < a.min(b) - X_WINDOW);
+    let chi = grid.xs.partition_point(|&x| x <= a.max(b) + X_WINDOW) - 1;
+    (clo, chi)
+}
+
 /// Routes one net: a windowed A* around the net's own terminal span
 /// first (small state, cache-resident under parallel planning), then a
 /// deterministic full-channel retry if the window has no path. With
-/// `cong`, moves also pay its congestion prices.
+/// `cong`, moves also pay its congestion prices. The expansion count
+/// covers both searches when the retry runs.
 fn route_net(
     grid: &Grid,
     spec: &Spec,
     cong: Option<&Congestion>,
 ) -> Result<(Vec<(usize, Point)>, u64), RouteError> {
-    let (a, b) = (grid.xs[spec.bxi], grid.xs[spec.txi]);
-    let clo = grid.xs.partition_point(|&x| x < a.min(b) - X_WINDOW);
-    let chi = grid.xs.partition_point(|&x| x <= a.max(b) + X_WINDOW) - 1;
-    match astar(grid, spec, clo, chi, cong) {
-        Ok(r) => Ok(r),
+    let (clo, chi) = net_window(grid, spec);
+    let (found, windowed) = astar(grid, spec, clo, chi, cong);
+    match found {
+        Ok(path) => Ok((path, windowed)),
         Err(_) if clo > 0 || chi + 1 < grid.xs.len() => {
-            astar(grid, spec, 0, grid.xs.len() - 1, cong)
+            let (found, full) = astar(grid, spec, 0, grid.xs.len() - 1, cong);
+            found.map(|path| (path, windowed + full))
         }
         Err(e) => Err(e),
     }
@@ -651,17 +661,18 @@ fn route_net(
 
 /// A* maze search for one net over the rasterized grid, restricted to
 /// columns `clo..=chi`. Returns the `(layer, point)` node sequence from
-/// the bottom terminal to the top terminal plus the number of
-/// expansions, or [`RouteError::Unroutable`] when no path exists
-/// inside the window. Obstacles and other nets' terminal keep-outs
-/// block; other nets' wires, under negotiation, only cost.
+/// the bottom terminal to the top terminal, or
+/// [`RouteError::Unroutable`] when no path exists inside the window,
+/// together with the number of expansions either way. Obstacles and
+/// other nets' terminal keep-outs block; other nets' wires, under
+/// negotiation, only cost.
 fn astar(
     grid: &Grid,
     spec: &Spec,
     clo: usize,
     chi: usize,
     cong: Option<&Congestion>,
-) -> Result<(Vec<(usize, Point)>, u64), RouteError> {
+) -> (Result<Vec<(usize, Point)>, RouteError>, u64) {
     let (nx, ny) = (grid.xs.len(), grid.ys.len());
     let wnx = chi - clo + 1;
     let nodes = wnx * ny;
@@ -677,7 +688,7 @@ fn astar(
     let goal_x = grid.xs[spec.txi];
 
     if wmasks[spec.blayer].node[spec.bxi] || wmasks[spec.tlayer].node[(ny - 1) * nx + spec.txi] {
-        return Err(unroutable);
+        return (Err(unroutable), 0);
     }
 
     let h = |state: usize| -> u64 {
@@ -707,7 +718,7 @@ fn astar(
         }
         expansions += 1;
         if expansions > MAX_EXPANSIONS {
-            return Err(unroutable);
+            return (Err(unroutable), expansions);
         }
 
         let li = state / nodes;
@@ -782,7 +793,7 @@ fn astar(
     }
 
     if g[goal] == u64::MAX {
-        return Err(unroutable);
+        return (Err(unroutable), expansions);
     }
     let mut path = Vec::new();
     let mut state = goal;
@@ -796,7 +807,7 @@ fn astar(
         state = came[state] as usize;
     }
     path.reverse();
-    Ok((path, expansions))
+    (Ok(path), expansions)
 }
 
 /// Converts a node sequence to segments + vias ([`Path`] merges the
@@ -1249,6 +1260,44 @@ mod tests {
         assert!(route(vec![net("b", 12, 0)]).is_ok());
         let both = route(vec![net("a", 0, 12), net("b", 12, 0)]);
         assert_eq!(both.unwrap_err(), RouteError::Unroutable { net: 0 });
+    }
+
+    #[test]
+    fn windowed_search_failure_counts_toward_expansions() {
+        // Walls on every routable layer from the channel's left edge to
+        // x = 100: net a (x = 0 to 0) has no path inside its window and
+        // must detour past the wall's end, far outside it. Net b only
+        // widens the channel.
+        let walls = Layer::ROUTABLE.map(|l| (l, Rect::new(-100, 12, 100, 16)));
+        let p = RouteProblem::new(
+            vec![t("a", 0, Layer::Metal), t("b", 200, Layer::Metal)],
+            vec![t("a", 0, Layer::Metal), t("b", 200, Layer::Metal)],
+        )
+        .with_options(RouterOptions {
+            exact_height: Some(30),
+            ..RouterOptions::new()
+        });
+        let r = grid_route(&p, &walls).unwrap();
+        verify_clearance(&r, &walls).unwrap();
+
+        let grid = build_grid(&p, &walls, 30).unwrap();
+        let col = |x: i64| grid.xs.binary_search(&x).unwrap();
+        let spec = Spec {
+            net: 0,
+            name: "a".into(),
+            width: 3,
+            blayer: layer_idx(Layer::Metal),
+            tlayer: layer_idx(Layer::Metal),
+            bxi: col(0),
+            txi: col(0),
+        };
+        let (clo, chi) = net_window(&grid, &spec);
+        let (windowed, tried) = astar(&grid, &spec, clo, chi, None);
+        assert!(windowed.is_err() && tried > 0, "the window must fail");
+        let (retry, retried) = astar(&grid, &spec, 0, grid.xs.len() - 1, None);
+        assert!(retry.is_ok());
+        assert_eq!(r.plan_expansions()[0], tried + retried);
+        assert!(r.plan_expansions()[0] > retried);
     }
 
     #[test]
